@@ -13,12 +13,21 @@ use fork_crypto::keccak256;
 /// Checksum length in bytes (truncated keccak — integrity, not crypto).
 pub const CHECKSUM_LEN: usize = 4;
 
+/// The checksum [`seal_frame`] prepends and [`open_frame`] verifies: the
+/// first [`CHECKSUM_LEN`] bytes of the payload's keccak. Public so a caller
+/// that lays a frame out in its own buffer seals it with the same bytes.
+pub fn frame_checksum(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
+    let digest = keccak256(payload);
+    let mut checksum = [0u8; CHECKSUM_LEN];
+    checksum.copy_from_slice(&digest.0[..CHECKSUM_LEN]);
+    checksum
+}
+
 /// Wraps a payload with its checksum.
 pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
     crate::telemetry::record_seal();
-    let digest = keccak256(payload);
     let mut out = Vec::with_capacity(payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&digest.0[..CHECKSUM_LEN]);
+    out.extend_from_slice(&frame_checksum(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -31,8 +40,7 @@ pub fn open_frame(frame: &[u8]) -> Option<&[u8]> {
         return None;
     }
     let (checksum, payload) = frame.split_at(CHECKSUM_LEN);
-    let digest = keccak256(payload);
-    if &digest.0[..CHECKSUM_LEN] == checksum {
+    if frame_checksum(payload) == checksum {
         crate::telemetry::record_open(true);
         Some(payload)
     } else {
@@ -69,6 +77,14 @@ mod tests {
         assert_eq!(open_frame(&frame[..frame.len() - 1]), None);
         assert_eq!(open_frame(&[]), None);
         assert_eq!(open_frame(&frame[..3]), None);
+    }
+
+    #[test]
+    fn frame_checksum_is_the_seal_prefix() {
+        for payload in [&b""[..], b"x", &[0xABu8; 300]] {
+            let frame = seal_frame(payload);
+            assert_eq!(frame[..CHECKSUM_LEN], frame_checksum(payload));
+        }
     }
 
     #[test]

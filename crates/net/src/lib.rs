@@ -22,7 +22,7 @@ pub mod node_id;
 pub mod telemetry;
 pub mod topology;
 
-pub use frame::{open_frame, seal_frame};
+pub use frame::{frame_checksum, open_frame, seal_frame, CHECKSUM_LEN};
 pub use gossip::{plan_block_relay, trace_block_seen, BlockRelayPlan, GossipState, SeenFilter};
 pub use kademlia::{iterative_lookup, RoutingTable, BUCKET_SIZE};
 pub use link::{

@@ -15,8 +15,8 @@ use fork_query::{Lookup, LookupOutput, Query, QueryOutput};
 use fork_telemetry::SeriesRing;
 
 use crate::wire::{
-    decode_response, encode_request, read_frame, write_frame, DecodeError, FrameError, Request,
-    RequestBody, Response, ResponseBody, ServeMeta, SlowQueryRecord, WireError,
+    decode_response, encode_request_into, read_frame, write_frame_with, DecodeError, FrameError,
+    Request, RequestBody, Response, ResponseBody, ServeMeta, SlowQueryRecord, WireError,
 };
 
 /// Client-side failure talking to a daemon.
@@ -65,6 +65,8 @@ impl From<FrameError> for ClientError {
 pub struct ServeClient {
     stream: TcpStream,
     next_id: u64,
+    /// Request frame buffer, reused across sends.
+    frame: Vec<u8>,
 }
 
 impl ServeClient {
@@ -72,7 +74,11 @@ impl ServeClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(ServeClient { stream, next_id: 1 })
+        Ok(ServeClient {
+            stream,
+            next_id: 1,
+            frame: Vec::new(),
+        })
     }
 
     /// Connects with retries until `timeout` — lets load generators start
@@ -92,8 +98,10 @@ impl ServeClient {
     pub fn send(&mut self, body: RequestBody) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
-        let payload = encode_request(&Request { id, body });
-        write_frame(&mut self.stream, &payload)?;
+        let req = Request { id, body };
+        write_frame_with(&mut self.stream, &mut self.frame, |out| {
+            encode_request_into(out, &req)
+        })?;
         Ok(id)
     }
 

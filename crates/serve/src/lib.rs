@@ -52,7 +52,8 @@ pub use server::{
     ServerHandle, ENDPOINTS, STAGES,
 };
 pub use wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    DecodeError, ErrorKind, FrameError, FrameReader, Request, RequestBody, Response, ResponseBody,
-    ServeMeta, SlowQueryRecord, StageBreakdown, WireError, MAX_FRAME_LEN,
+    append_frame, append_frame_with, decode_request, decode_response, encode_request,
+    encode_request_into, encode_response, encode_response_into, read_frame, write_frame,
+    write_frame_with, DecodeError, ErrorKind, FrameError, FrameReader, Request, RequestBody,
+    Response, ResponseBody, ServeMeta, SlowQueryRecord, StageBreakdown, WireError, MAX_FRAME_LEN,
 };

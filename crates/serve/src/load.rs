@@ -21,7 +21,8 @@
 //! [`LoadConfig::max_retries`] attempts, each delay capped at
 //! [`RETRY_BACKOFF_CAP`]) and reports the extra attempts as
 //! [`PhaseStats::retries`]. Only a request still shed after its whole
-//! budget counts as [`PhaseStats::overloaded`].
+//! budget counts as [`PhaseStats::overloaded`]. A request in backoff keeps
+//! its pipeline slot, so backing off lowers the offered load.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Barrier, Mutex};
@@ -49,7 +50,8 @@ pub struct LoadConfig {
     pub connections: usize,
     /// Requests per connection per phase.
     pub requests_per_conn: usize,
-    /// Max pipelined (sent, unanswered) requests per connection.
+    /// Max unanswered requests per connection: sent and awaiting a response,
+    /// or shed and waiting out a retry backoff.
     pub pipeline_depth: usize,
     /// Number of phases (2 = the standard cold + warm pair).
     pub phases: usize,
@@ -504,16 +506,19 @@ fn run_phase(
     let mut retry_queue: Vec<QueuedRetry> = Vec::new();
     let mut sent = 0usize;
     loop {
-        // Fill the pipeline: due retries first (they hold admission slots
-        // fairly — a shed request re-queues ahead of fresh traffic), then
-        // fresh requests.
-        while pending.len() < depth {
+        // Fill the pipeline: due retries first (a shed request re-queues
+        // ahead of fresh traffic), then fresh requests. A request waiting
+        // out its backoff keeps its pipeline slot: if fresh traffic took
+        // it, backing off would shed no load at all, and against a daemon
+        // that rejects in microseconds the whole phase would pile into
+        // the retry queue and time out together.
+        loop {
             let now = Instant::now();
             let (query, attempts) = if let Some(i) = retry_queue.iter().position(|r| r.due <= now) {
                 let r = retry_queue.swap_remove(i);
                 phase.retries += 1;
                 (r.query, r.attempts)
-            } else if sent < requests {
+            } else if sent < requests && pending.len() + retry_queue.len() < depth {
                 sent += 1;
                 phase.requests += 1;
                 (workload[rng.gen_range(0..workload.len())], 0)

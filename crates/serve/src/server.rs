@@ -26,7 +26,11 @@
 //! no traffic and no in-flight work for [`ServeConfig::idle_timeout`] is
 //! reaped; a peer stalled mid-frame is cut off as a dead sender). Writes
 //! carry [`ServeConfig::write_timeout`]; a client that stops draining
-//! responses is disconnected rather than blocking a writer forever.
+//! responses is disconnected rather than blocking a writer forever. A
+//! zero timeout cannot be armed, so [`Server::start`] refuses it, and a
+//! connection whose socket options cannot be set is closed, not served.
+//! Each response leaves as one buffer in one write with `TCP_NODELAY` set,
+//! so a small reply never waits in the kernel for the client's delayed ACK.
 //!
 //! Graceful shutdown (the wire `Shutdown` request, or
 //! [`ServerHandle::shutdown`]) stops accepting, lets every admitted query
@@ -53,8 +57,8 @@ use fork_telemetry::{
 };
 
 use crate::wire::{
-    decode_request, encode_response, write_frame, ErrorKind, FrameError, FrameReader, RequestBody,
-    Response, ResponseBody, ServeMeta, SlowQueryRecord, StageBreakdown, WireError,
+    decode_request, encode_response_into, write_frame_with, ErrorKind, FrameError, FrameReader,
+    RequestBody, Response, ResponseBody, ServeMeta, SlowQueryRecord, StageBreakdown, WireError,
 };
 
 /// How often blocked reads wake to check idle/shutdown state.
@@ -62,6 +66,10 @@ const READ_TICK: Duration = Duration::from_millis(50);
 /// Extra writer-queue slots beyond the in-flight cap, for inline control
 /// replies and backpressure rejections.
 const CONTROL_SLACK: usize = 64;
+/// A connection's writer reuses one frame buffer across responses; past this
+/// capacity it is released after the write, so one multi-MiB scan does not
+/// stay pinned for the life of every connection that ever served one.
+const FRAME_BUF_RETAIN: usize = 256 * 1024;
 
 /// Stage labels; `serve.stage.<label>` histograms (µs) are registered for
 /// each, plus `serve.stage.total` for the traced end-to-end latency.
@@ -179,6 +187,8 @@ pub enum ServeError {
     Io(io::Error),
     /// The archive would not open.
     Archive(String),
+    /// A [`ServeConfig`] value the daemon cannot honour.
+    InvalidConfig(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -186,6 +196,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "serve i/o: {e}"),
             ServeError::Archive(e) => write!(f, "archive: {e}"),
+            ServeError::InvalidConfig(e) => write!(f, "invalid config: {e}"),
         }
     }
 }
@@ -460,6 +471,13 @@ impl Server {
     /// Opens the archive, binds the listener, and spawns the accept loop
     /// plus the query worker pool.
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
+        if cfg.write_timeout.is_zero() {
+            // `set_write_timeout(Some(0))` is an error, and a writer with no
+            // timeout blocks on a stalled client forever.
+            return Err(ServeError::InvalidConfig(
+                "write_timeout must be non-zero".into(),
+            ));
+        }
         let cache = FrameCache::new(cfg.cache_bytes, cfg.cache_shards);
         let registry = MetricsRegistry::new();
         let cache = cache.with_telemetry(&registry);
@@ -755,14 +773,15 @@ fn writer_loop(
     state: Arc<State>,
 ) {
     let mut dead = false;
+    let mut frame = Vec::new();
     for msg in rx {
         let (resp, admitted, trace) = match msg {
             WriterMsg::Control(r) => (r, false, None),
             WriterMsg::Query(r, t) => (r, true, t),
         };
         if !dead {
-            let payload = encode_response(&resp);
-            if write_frame(&mut stream, &payload).is_err() {
+            let encode = |out: &mut Vec<u8>| encode_response_into(out, &resp);
+            if write_frame_with(&mut stream, &mut frame, encode).is_err() {
                 // Slow/dead client: cut the socket so the reader unblocks,
                 // then keep draining messages to release in-flight slots.
                 dead = true;
@@ -771,6 +790,9 @@ fn writer_loop(
                 // Only successfully written responses are traced: a dead
                 // connection has no meaningful end-to-end latency.
                 state.finish_trace(&trace);
+            }
+            if frame.capacity() > FRAME_BUF_RETAIN {
+                frame = Vec::new();
             }
         }
         if admitted {
@@ -792,14 +814,22 @@ fn send_control(tx: &SyncSender<WriterMsg>, stream: &TcpStream, resp: Response) 
 }
 
 fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &Arc<JobQueue>) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+    // Socket options are per socket, not per handle: set before the clone,
+    // they hold for the writer's half too. Without `TCP_NODELAY` a response
+    // can sit in the kernel waiting for the client's delayed ACK (~40 ms);
+    // without the write timeout a stalled client blocks its writer forever.
+    if stream.set_read_timeout(Some(READ_TICK)).is_err()
+        || stream.set_nodelay(true).is_err()
+        || stream
+            .set_write_timeout(Some(state.cfg.write_timeout))
+            .is_err()
+    {
         return;
     }
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    let _ = write_half.set_write_timeout(Some(state.cfg.write_timeout));
 
     let conn = Arc::new(ConnShared {
         inflight: AtomicUsize::new(0),
@@ -1053,4 +1083,22 @@ fn admit(state: &State, conn: &ConnShared, id: u64) -> Option<Response> {
         );
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_write_timeout_is_rejected_before_anything_is_opened() {
+        // The archive directory does not exist: the config check must come
+        // first, so the error names the config, not the archive.
+        let mut cfg = ServeConfig::new("/nonexistent/fork-serve-zero-write-timeout");
+        cfg.write_timeout = Duration::ZERO;
+        match Server::start(cfg) {
+            Err(ServeError::InvalidConfig(detail)) => assert!(detail.contains("write_timeout")),
+            Err(other) => panic!("expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("a zero write_timeout must not start a daemon"),
+        }
+    }
 }

@@ -8,10 +8,14 @@
 //!                        `---------- seal_frame ---------------------'
 //! ```
 //!
-//! The checksum comes from [`fork_net::seal_frame`] / [`fork_net::open_frame`]
-//! — the same machinery that protects gossip frames in the simulator — so a
-//! corrupted frame dies at the transport with [`FrameError::Corrupt`] instead
-//! of decoding into a wrong-but-plausible message. A declared length above
+//! The checksum is [`fork_net::frame_checksum`], verified by
+//! [`fork_net::open_frame`] — the same machinery that protects gossip frames
+//! in the simulator — so a corrupted frame dies at the transport with
+//! [`FrameError::Corrupt`] instead of decoding into a wrong-but-plausible
+//! message. A frame is laid out in **one buffer** ([`append_frame_with`])
+//! and leaves in **one write** ([`write_frame_with`]): a length prefix written
+//! on its own is a tiny segment that Nagle's algorithm and the peer's delayed
+//! ACK turn into a fixed ~40 ms stall per response. A declared length above
 //! [`MAX_FRAME_LEN`] is rejected *before* any allocation
 //! ([`FrameError::Oversized`]): a hostile or desynced peer cannot make the
 //! server buffer unbounded bytes.
@@ -28,7 +32,7 @@ use std::time::{Duration, Instant};
 use fork_analytics::{BlockRecord, TimeSeries, TxRecord};
 use fork_archive::format::CHECKSUM_LEN;
 use fork_archive::ArchiveRecord;
-use fork_net::{open_frame, seal_frame};
+use fork_net::{frame_checksum, open_frame};
 use fork_primitives::H256;
 use fork_query::{
     FoundRecord, HeaderChain, Lookup, LookupOutput, Projection, Query, QueryOutput, QueryRange,
@@ -284,13 +288,50 @@ impl std::error::Error for DecodeError {}
 
 // --- framing ---------------------------------------------------------------
 
+/// Bytes in front of every payload: the `u32` length prefix plus the checksum.
+const FRAME_HEADER_LEN: usize = 4 + fork_net::CHECKSUM_LEN;
+
+/// Appends one complete frame to `out`, letting `encode` write the payload
+/// straight into `out` behind a reserved header that is patched once the
+/// payload's length and checksum are known — no intermediate payload or
+/// sealed buffer. Bytes already in `out` are left alone.
+pub fn append_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    encode(out);
+    let payload_at = start + FRAME_HEADER_LEN;
+    let sealed_len = out.len() - start - 4;
+    debug_assert!(sealed_len <= MAX_FRAME_LEN as usize);
+    let checksum = frame_checksum(&out[payload_at..]);
+    out[start..start + 4].copy_from_slice(&(sealed_len as u32).to_le_bytes());
+    out[start + 4..payload_at].copy_from_slice(&checksum);
+}
+
+/// Appends `payload` to `out` as one complete frame: length prefix, checksum
+/// and payload, contiguous.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    append_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Encodes one frame into `buf` (replacing its contents, keeping its
+/// capacity for the next call) and sends it in a single `write_all` — the
+/// one place a frame meets a socket (see the module docs for why never two
+/// writes).
+pub fn write_frame_with<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    append_frame_with(buf, encode);
+    w.write_all(buf)?;
+    w.flush()
+}
+
 /// Seals `payload` and writes it as one length-prefixed frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let sealed = seal_frame(payload);
-    debug_assert!(sealed.len() <= MAX_FRAME_LEN as usize);
-    w.write_all(&(sealed.len() as u32).to_le_bytes())?;
-    w.write_all(&sealed)?;
-    w.flush()
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    write_frame_with(w, &mut frame, |out| out.extend_from_slice(payload))
 }
 
 /// Reads one frame, blocking until it fully arrives (client side; the
@@ -314,10 +355,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
             FrameError::Io(e)
         }
     })?;
-    match open_frame(&sealed) {
-        Some(payload) => Ok(payload.to_vec()),
-        None => Err(FrameError::Corrupt),
+    if open_frame(&sealed).is_none() {
+        return Err(FrameError::Corrupt);
     }
+    // The buffer is ours: strip the checksum in place instead of copying
+    // the payload out into a second allocation.
+    sealed.drain(..fork_net::CHECKSUM_LEN);
+    Ok(sealed)
 }
 
 /// Incremental frame reader for sockets with a read timeout: partial bytes
@@ -653,15 +697,22 @@ fn decode_lookup(c: &mut Cursor<'_>) -> Result<Lookup, DecodeError> {
 /// Serializes a request into a frame payload (pre-seal).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    encode_request_into(&mut out, req);
+    out
+}
+
+/// Appends the payload [`encode_request`] returns to `out` (pair with
+/// [`write_frame_with`] to encode straight into a frame buffer).
+pub fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
     out.extend_from_slice(&req.id.to_le_bytes());
     match &req.body {
         RequestBody::Query(q) => {
             out.push(REQ_QUERY);
-            encode_query(&mut out, q);
+            encode_query(out, q);
         }
         RequestBody::Lookup(l) => {
             out.push(REQ_LOOKUP);
-            encode_lookup(&mut out, l);
+            encode_lookup(out, l);
         }
         RequestBody::Stats => out.push(REQ_STATS),
         RequestBody::Meta => out.push(REQ_META),
@@ -671,7 +722,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         RequestBody::ObsSlowLog => out.push(REQ_OBS_SLOWLOG),
         RequestBody::Metrics => out.push(REQ_METRICS),
     }
-    out
 }
 
 /// Parses a frame payload as a request.
@@ -1148,45 +1198,51 @@ fn decode_meta(c: &mut Cursor<'_>) -> Result<ServeMeta, DecodeError> {
 /// Serializes a response into a frame payload (pre-seal).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_response_into(&mut out, resp);
+    out
+}
+
+/// Appends the payload [`encode_response`] returns to `out` (pair with
+/// [`write_frame_with`] to encode straight into a frame buffer).
+pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
     out.extend_from_slice(&resp.id.to_le_bytes());
     match &resp.body {
         ResponseBody::Output(o) => {
             out.push(RESP_OUTPUT);
-            encode_output(&mut out, o);
+            encode_output(out, o);
         }
         ResponseBody::Lookup(o) => {
             out.push(RESP_LOOKUP);
-            encode_lookup_output(&mut out, o);
+            encode_lookup_output(out, o);
         }
         ResponseBody::Stats(json) => {
             out.push(RESP_STATS);
-            put_str(&mut out, json);
+            put_str(out, json);
         }
         ResponseBody::Meta(m) => {
             out.push(RESP_META);
-            encode_meta(&mut out, m);
+            encode_meta(out, m);
         }
         ResponseBody::Pong => out.push(RESP_PONG),
         ResponseBody::ShutdownAck => out.push(RESP_SHUTDOWN_ACK),
         ResponseBody::Error(e) => {
             out.push(RESP_ERROR);
             out.push(err_kind_tag(e.kind));
-            put_str(&mut out, &e.detail);
+            put_str(out, &e.detail);
         }
         ResponseBody::ObsSeries(ring) => {
             out.push(RESP_OBS_SERIES);
-            encode_series_ring(&mut out, ring);
+            encode_series_ring(out, ring);
         }
         ResponseBody::ObsSlowLog(log) => {
             out.push(RESP_OBS_SLOWLOG);
-            encode_slow_log(&mut out, log);
+            encode_slow_log(out, log);
         }
         ResponseBody::Metrics(text) => {
             out.push(RESP_METRICS);
-            put_str(&mut out, text);
+            put_str(out, text);
         }
     }
-    out
 }
 
 /// Parses a frame payload as a response.
@@ -1211,4 +1267,170 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
     };
     c.finish()?;
     Ok(Response { id, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Accepts everything it is given and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame as the two-write `write_frame` put it on the wire.
+    fn golden_frame(payload: &[u8]) -> Vec<u8> {
+        let sealed = fork_net::seal_frame(payload);
+        let mut frame = (sealed.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&sealed);
+        frame
+    }
+
+    #[test]
+    fn a_frame_is_one_write_even_through_a_reused_buffer() {
+        let mut w = CountingWriter::default();
+        let mut buf = Vec::new();
+        let mut expected = Vec::new();
+        // Big before small: a reused buffer must not leak the earlier frame.
+        for (i, len) in [64 * 1024usize, 1500, 9, 1, 0].into_iter().enumerate() {
+            let payload = vec![0xA5; len];
+            write_frame_with(&mut w, &mut buf, |out| out.extend_from_slice(&payload)).unwrap();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(
+                w.writes,
+                2 * (i + 1),
+                "a {len}-byte payload took extra writes"
+            );
+            expected.extend_from_slice(&golden_frame(&payload));
+            expected.extend_from_slice(&golden_frame(&payload));
+        }
+        assert_eq!(w.bytes, expected);
+    }
+
+    #[test]
+    fn append_frame_matches_the_golden_wire_bytes() {
+        let big: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+        let mut stream = Vec::new();
+        let mut expected = Vec::new();
+        for payload in [&[][..], &[0x7F], &big] {
+            let mut alone = Vec::new();
+            append_frame(&mut alone, payload);
+            assert_eq!(alone, golden_frame(payload));
+
+            let mut written = CountingWriter::default();
+            write_frame(&mut written, payload).unwrap();
+            assert_eq!(written.bytes, alone);
+
+            // Appending leaves earlier frames in the buffer untouched.
+            append_frame(&mut stream, payload);
+            expected.extend_from_slice(&alone);
+            assert_eq!(stream, expected);
+        }
+    }
+
+    fn every_response_body() -> Vec<ResponseBody> {
+        let block = BlockRecord {
+            network: Side::Etc,
+            number: 1_920_001,
+            hash: H256([7; 32]),
+            timestamp: 1_469_020_840,
+            difficulty: fork_primitives::U256::from_u64(62_413_376_722_602),
+            beneficiary: fork_primitives::Address([3; 20]),
+            gas_used: 21_000,
+            tx_count: 1,
+            ommer_count: 0,
+        };
+        let mut ring = SeriesRing::new(4);
+        ring.push([("connections".to_string(), 3.0)].into_iter().collect());
+        vec![
+            ResponseBody::Output(QueryOutput::Blocks(vec![block.clone(); 3])),
+            ResponseBody::Lookup(LookupOutput::Found(Some(FoundRecord {
+                seq: 11,
+                side: Side::Etc,
+                record: ArchiveRecord::Block(block),
+            }))),
+            ResponseBody::Stats("{\"schema\": \"fork-telemetry/v1\"}".into()),
+            ResponseBody::Meta(ServeMeta {
+                blocks: 9,
+                txs: 4,
+                block_range: Some((1, 9)),
+                time_range: None,
+                format_version: 2,
+                checksum: 0xDEAD_BEEF,
+            }),
+            ResponseBody::Pong,
+            ResponseBody::ShutdownAck,
+            ResponseBody::Error(WireError {
+                kind: ErrorKind::Overloaded,
+                detail: "server has 1024 queries in flight".into(),
+            }),
+            ResponseBody::ObsSeries(ring),
+            ResponseBody::ObsSlowLog(vec![SlowQueryRecord {
+                id: 5,
+                seq: 6,
+                endpoint: "blocks".into(),
+                total_us: 700,
+                stages: StageBreakdown {
+                    read_us: 1,
+                    admit_us: 2,
+                    queue_us: 3,
+                    execute_us: 4,
+                    write_us: 5,
+                    cache_hits: 6,
+                    cache_misses: 7,
+                },
+            }]),
+            ResponseBody::Metrics("# TYPE serve_queries counter\nserve_queries 1\n".into()),
+        ]
+    }
+
+    #[test]
+    fn encoding_into_a_frame_buffer_matches_encode_then_frame() {
+        let mut tags = Vec::new();
+        for (id, body) in every_response_body().into_iter().enumerate() {
+            let resp = Response {
+                id: id as u64,
+                body,
+            };
+            let payload = encode_response(&resp);
+            let mut into = vec![0xEE; 3];
+            encode_response_into(&mut into, &resp);
+            assert_eq!(into[..3], [0xEE; 3], "bytes already in the buffer moved");
+            assert_eq!(into[3..], payload[..]);
+            tags.push(payload[8]);
+
+            let mut frame = Vec::new();
+            append_frame_with(&mut frame, |out| encode_response_into(out, &resp));
+            assert_eq!(frame, golden_frame(&payload));
+            let opened = read_frame(&mut frame.as_slice()).expect("frame opens");
+            assert_eq!(decode_response(&opened), Ok(resp));
+        }
+        tags.sort_unstable();
+        let every_tag: Vec<u8> = (RESP_OUTPUT..=RESP_METRICS).collect();
+        assert_eq!(tags, every_tag, "a ResponseBody variant is not covered");
+
+        let req = Request {
+            id: 77,
+            body: RequestBody::Lookup(Lookup::BlockByHash {
+                hash: H256([9; 32]),
+            }),
+        };
+        let mut frame = Vec::new();
+        append_frame_with(&mut frame, |out| encode_request_into(out, &req));
+        assert_eq!(frame, golden_frame(&encode_request(&req)));
+    }
 }

@@ -11,9 +11,9 @@ use fork_query::{
 };
 use fork_replay::Side;
 use fork_serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    DecodeError, ErrorKind, FrameError, Request, RequestBody, Response, ResponseBody, ServeMeta,
-    SlowQueryRecord, StageBreakdown, WireError, MAX_FRAME_LEN,
+    append_frame, decode_request, decode_response, encode_request, encode_response, read_frame,
+    write_frame, DecodeError, ErrorKind, FrameError, FrameReader, Request, RequestBody, Response,
+    ResponseBody, ServeMeta, SlowQueryRecord, StageBreakdown, WireError, MAX_FRAME_LEN,
 };
 use fork_telemetry::{HistogramSnapshot, SeriesRing};
 use proptest::prelude::*;
@@ -297,7 +297,83 @@ fn response_from(spec: (u64, u64, Vec<u64>, Vec<u64>)) -> Response {
     Response { id, body }
 }
 
+/// Hands out `data` in reads of the given sizes (cycled, each at least one
+/// byte) — a socket delivering a frame stream in arbitrary pieces.
+struct ChunkedReader<'a> {
+    data: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl std::io::Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.sizes[self.reads % self.sizes.len()].max(1);
+        self.reads += 1;
+        let n = want.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Accepts at most `cap` bytes per `write` call — a socket whose send buffer
+/// is nearly full, so `write_all` has to come back for the rest.
+struct ShortWriter {
+    bytes: Vec<u8>,
+    cap: usize,
+}
+
+impl std::io::Write for ShortWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.cap);
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 proptest! {
+    #[test]
+    fn frames_appended_to_one_buffer_come_back_in_order_from_any_chunking(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 1..9),
+        sizes in proptest::collection::vec(1usize..64, 1..12),
+    ) {
+        let mut stream = Vec::new();
+        for payload in &payloads {
+            append_frame(&mut stream, payload);
+        }
+        let mut socket = ChunkedReader { data: &stream, sizes: &sizes, reads: 0 };
+        let mut frames = FrameReader::new();
+        for payload in &payloads {
+            let got = frames
+                .poll_frame(&mut socket, std::time::Duration::from_secs(1))
+                .expect("clean stream");
+            prop_assert_eq!(got.as_ref(), Some(payload));
+        }
+        prop_assert!(!frames.mid_frame(), "bytes left over after the last frame");
+        prop_assert!(socket.data.is_empty());
+    }
+
+    #[test]
+    fn short_writes_do_not_tear_the_frame(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 1..5),
+        cap in 1usize..8,
+    ) {
+        let mut w = ShortWriter { bytes: Vec::new(), cap };
+        for payload in &payloads {
+            write_frame(&mut w, payload).unwrap();
+        }
+        let mut stream = w.bytes.as_slice();
+        for payload in &payloads {
+            let got = read_frame(&mut stream).expect("frame opens");
+            prop_assert_eq!(&got, payload);
+        }
+        prop_assert!(matches!(read_frame(&mut stream), Err(FrameError::Closed)));
+    }
+
     #[test]
     fn requests_roundtrip(spec in (any::<u64>(), any::<u64>(), ((any::<u64>(), any::<u64>()), (any::<u64>(), any::<u64>(), any::<u64>())))) {
         let req = request_from(spec);

@@ -6,11 +6,13 @@
 //! must reject pipelining past it; graceful shutdown must drain.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stick_a_fork::archive::{ArchiveConfig, ArchiveReader, Codec};
 use stick_a_fork::core::ForkStudy;
-use stick_a_fork::query::{Projection, Query, QueryExecutor, QueryOutput, QueryRange};
+use stick_a_fork::query::{
+    Lookup, LookupOutput, Projection, Query, QueryExecutor, QueryOutput, QueryRange,
+};
 use stick_a_fork::replay::Side;
 use stick_a_fork::serve::{ErrorKind, RequestBody, ResponseBody, ServeClient, ServeConfig, Server};
 use stick_a_fork::telemetry::Snapshot;
@@ -180,6 +182,85 @@ fn served_responses_match_naive_scan_across_seeds() {
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Sequential depth-1 round trips must cost microseconds, not a delayed-ACK
+/// timer each: a response written as a length prefix and then a body, on a
+/// socket with Nagle on, sits in the kernel until the client's ~40 ms
+/// delayed ACK releases it. The 10 ms bound is loose on purpose (a healthy
+/// loopback round trip is ~0.1 ms) so a loaded runner still passes.
+#[test]
+fn depth_one_round_trips_do_not_wait_out_a_delayed_ack() {
+    let dir = scratch("roundtrip");
+    build_archive(&dir, 7);
+    let reader = ArchiveReader::open(&dir).unwrap();
+    let all_blocks = Query {
+        side: Some(Side::Eth),
+        range: QueryRange::All,
+        projection: Projection::Blocks,
+    };
+    let QueryOutput::Blocks(blocks) = QueryExecutor::run_naive(&reader, &all_blocks).unwrap()
+    else {
+        panic!("Blocks projection answers with blocks");
+    };
+    // 20 distinct hashes spread over the chain (plus one that is absent),
+    // each answered once by the naive full scan.
+    let step = (blocks.len() / 20).max(1);
+    let mut lookups: Vec<(Lookup, LookupOutput)> = blocks
+        .iter()
+        .step_by(step)
+        .map(|b| b.hash)
+        .chain([stick_a_fork::primitives::H256([0xEE; 32])])
+        .map(|hash| {
+            let lookup = Lookup::BlockByHash { hash };
+            let want = QueryExecutor::run_lookup_naive(&reader, &lookup).unwrap();
+            (lookup, want)
+        })
+        .collect();
+    assert!(
+        lookups.len() > 10,
+        "the quick archive has blocks to look up"
+    );
+    assert_eq!(lookups.pop().unwrap().1, LookupOutput::Found(None));
+    drop(reader);
+
+    let handle = Server::start(ServeConfig::new(&dir)).unwrap();
+    let addr = handle.local_addr().to_string();
+    let mut client = ServeClient::connect_retry(&addr, Duration::from_secs(5)).unwrap();
+
+    let median = |mut rtts: Vec<Duration>| {
+        rtts.sort_unstable();
+        rtts[rtts.len() / 2]
+    };
+    let pings: Vec<Duration> = (0..200)
+        .map(|_| {
+            let sent = Instant::now();
+            client.ping().unwrap();
+            sent.elapsed()
+        })
+        .collect();
+    let served: Vec<Duration> = (0..200)
+        .map(|i| {
+            let (lookup, want) = &lookups[i % lookups.len()];
+            let sent = Instant::now();
+            let got = client.lookup(lookup).unwrap();
+            let rtt = sent.elapsed();
+            assert_eq!(&got, want, "served {lookup:?} diverged from the naive scan");
+            rtt
+        })
+        .collect();
+    let (ping_p50, lookup_p50) = (median(pings), median(served));
+    assert!(
+        ping_p50 < Duration::from_millis(10),
+        "median ping round trip {ping_p50:?}: the response is stalling in the kernel"
+    );
+    assert!(
+        lookup_p50 < Duration::from_millis(10),
+        "median BlockByHash round trip {lookup_p50:?}: the response is stalling in the kernel"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
