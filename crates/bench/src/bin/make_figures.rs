@@ -14,7 +14,6 @@
 //! cargo run --release -p fork-bench --bin make-figures -- telemetry-diff a.json b.json
 //! cargo run --release -p fork-bench --bin make-figures -- interarrival
 //! cargo run --release -p fork-bench --bin make-figures -- query --quick
-//! cargo run --release -p fork-bench --bin make-figures -- bench --quick
 //! cargo run --release -p fork-bench --bin make-figures -- macro --quick
 //! ```
 //!
@@ -25,34 +24,23 @@
 //! fork-query engine over an archive (creating one first if needed): an
 //! 8-worker executor runs a mixed batch twice, every result is diffed
 //! against a single-threaded naive scan, and `query.md` reports throughput,
-//! cache hit rates, and the `query.latency` histogram. The `bench` target
-//! is the serving benchmark: it measures raw scan throughput and cold/warm
-//! in-process batch rates over an archive, then boots an in-process
-//! `fork-served` daemon and drives it with the `fork-load` mixed workload
-//! (120 connections), writing client- and server-side p50/p90/p99 plus
-//! cache hit rates to `BENCH_10.json` (`--bench-out`). It also races the
-//! hash-index sidecar's point lookups against naive full scans over the
-//! same sampled hashes (the `lookup` section of the report), and prices
-//! the observability plane: a tracing-off control run of the same served
-//! workload, reported against the traced run in the `obs` section. `telemetry-diff`
-//! compares two
-//! exported telemetry JSON files metric by metric. The `atlas` target runs
-//! the fork atlas — every partition preset across three seeds under the
-//! safety and heal-convergence invariants, plus the never-healed negative
-//! control — and writes `atlas.md` (partition duration vs minority-branch
-//! lifetime vs heal reorg depth, per preset × seed) including the
-//! lifetime-vs-duration scaling curve (a sweep of partition durations ×
-//! seeds on the flash topology). The `macro` target runs the macro-scale
-//! engine: the propagation preset at 100/500/1,000 generated-topology
-//! nodes (pre/post-fork p50/p90/max into `macro.md`) and a 1,000-node
-//! serial-vs-sharded timing race whose rounds/s land in the `macro`
-//! section of the bench report. `interarrival` exports
-//! the block inter-arrival histograms as CSV/JSON series. The `trace`
-//! target runs the fork-split micro network with the block-lifecycle
-//! tracer attached and writes `trace.json` (Chrome trace-event format,
-//! loadable in `chrome://tracing` / Perfetto) plus `propagation.md` (per-
-//! side time-to-coverage, pre- vs post-fork). `--progress` prints one
-//! stderr heartbeat per simulated day on the long meso runs.
+//! cache hit rates, and the `query.latency` histogram. `telemetry-diff`
+//! compares two exported telemetry JSON files metric by metric. The
+//! `atlas` target runs the fork atlas — every partition preset across
+//! three seeds under the safety and heal-convergence invariants, plus the
+//! never-healed negative control — and writes `atlas.md` (partition
+//! duration vs minority-branch lifetime vs heal reorg depth, per preset ×
+//! seed) including the lifetime-vs-duration scaling curve (a sweep of
+//! partition durations × seeds on the flash topology). The `macro` target
+//! runs the macro-scale engine serially: the propagation preset at
+//! 100/500/1,000 generated-topology nodes (pre/post-fork p50/p90/max into
+//! `macro.md`). `interarrival` exports the block inter-arrival histograms
+//! as CSV/JSON series. The `trace` target runs the fork-split micro
+//! network with the block-lifecycle tracer attached and writes
+//! `trace.json` (Chrome trace-event format, loadable in `chrome://tracing`
+//! / Perfetto) plus `propagation.md` (per-side time-to-coverage, pre- vs
+//! post-fork). `--progress` prints one stderr heartbeat per simulated day
+//! on the long meso runs.
 //!
 //! Writes `figN.csv` / `figN.json` plus `observations.md` into `--out`
 //! (default `figures/`), and prints ASCII renderings. With
@@ -60,6 +48,10 @@
 //! engine step-phase spans, per-chain import counters, EVM opcode-class
 //! dispatch counts, gossip/frame counters from the `micro` target — is
 //! written as `fork-telemetry/v1` JSON and printed as a table.
+//!
+//! An unknown target or flag, or a flag missing its value, prints the
+//! valid targets and exits with status 2. Timing lives in `forkbench`
+//! (`benchmark/`), not here.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -69,6 +61,36 @@ use fork_sim::resolved::{run as run_resolved, ResolvedForkConfig};
 use fork_sim::{MicroConfig, MicroNet};
 use fork_telemetry::{MetricsRegistry, Snapshot, TimingMode};
 
+/// What `all` (or no target at all) runs.
+const ALL_TARGETS: &[&str] = &[
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "obs",
+    "resolved",
+    "micro",
+    "chaos",
+    "atlas",
+    "trace",
+    "interarrival",
+];
+
+/// Targets that run only when named.
+const NAMED_TARGETS: &[&str] = &["archive", "query", "macro", "telemetry-diff", "all"];
+
+fn usage() -> String {
+    format!(
+        "usage: make-figures [TARGET...] [--days N] [--seed N] [--out DIR] \
+         [--telemetry-out PATH] [--archive-dir DIR] [--quick] [--progress]\n\
+         targets: {} {} (telemetry-diff takes two JSON paths)",
+        ALL_TARGETS.join(" "),
+        NAMED_TARGETS.join(" ")
+    )
+}
+
+#[derive(Debug)]
 struct Args {
     targets: HashSet<String>,
     days_short: u64,
@@ -76,113 +98,68 @@ struct Args {
     seed: u64,
     out: PathBuf,
     telemetry_out: Option<PathBuf>,
-    bench_out: PathBuf,
     archive_dir: Option<PathBuf>,
     quick: bool,
     progress: bool,
     diff: Option<(PathBuf, PathBuf)>,
 }
 
-fn parse_args() -> Args {
-    let mut targets = HashSet::new();
-    let mut days_short = 31u64;
-    let mut days_long = 280u64;
-    let mut seed = 2016u64;
-    let mut out = PathBuf::from("figures");
-    let mut telemetry_out = None;
-    let mut bench_out = PathBuf::from("BENCH_10.json");
-    let mut archive_dir = None;
-    let mut quick = false;
-    let mut progress = false;
-    let mut diff = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+/// Parses the arguments after the program name. Any word that is neither
+/// a known target nor a known flag, and any flag without its value, is an
+/// error rather than a silent no-op.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let mut args = Args {
+        targets: HashSet::new(),
+        days_short: 31,
+        days_long: 280,
+        seed: 2016,
+        out: PathBuf::from("figures"),
+        telemetry_out: None,
+        archive_dir: None,
+        quick: false,
+        progress: false,
+        diff: None,
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .ok_or_else(|| format!("{arg} takes {what}"))
+                .cloned()
+        };
+        let number = |v: String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{arg} takes a number, got `{v}`"))
+        };
+        match arg.as_str() {
             "--days" => {
-                let v: u64 = argv[i + 1].parse().expect("--days takes a number");
-                days_short = v.min(31);
-                days_long = v;
-                i += 1;
+                let v = number(value("a number")?)?;
+                args.days_short = v.min(31);
+                args.days_long = v;
             }
-            "--seed" => {
-                seed = argv[i + 1].parse().expect("--seed takes a number");
-                i += 1;
-            }
-            "--out" => {
-                out = PathBuf::from(&argv[i + 1]);
-                i += 1;
-            }
-            "--telemetry-out" => {
-                telemetry_out = Some(PathBuf::from(
-                    argv.get(i + 1).expect("--telemetry-out takes a path"),
-                ));
-                i += 1;
-            }
-            "--bench-out" => {
-                bench_out = PathBuf::from(argv.get(i + 1).expect("--bench-out takes a path"));
-                i += 1;
-            }
-            "--archive-dir" => {
-                archive_dir = Some(PathBuf::from(
-                    argv.get(i + 1).expect("--archive-dir takes a path"),
-                ));
-                i += 1;
-            }
-            "--quick" => {
-                quick = true;
-            }
-            "--progress" => {
-                progress = true;
-            }
+            "--seed" => args.seed = number(value("a number")?)?,
+            "--out" => args.out = PathBuf::from(value("a path")?),
+            "--telemetry-out" => args.telemetry_out = Some(PathBuf::from(value("a path")?)),
+            "--archive-dir" => args.archive_dir = Some(PathBuf::from(value("a path")?)),
+            "--quick" => args.quick = true,
+            "--progress" => args.progress = true,
             "telemetry-diff" => {
-                let a = argv
-                    .get(i + 1)
-                    .expect("telemetry-diff takes two JSON paths");
-                let b = argv
-                    .get(i + 2)
-                    .expect("telemetry-diff takes two JSON paths");
-                diff = Some((PathBuf::from(a), PathBuf::from(b)));
-                targets.insert("telemetry-diff".to_string());
-                i += 2;
+                let a = value("two JSON paths")?;
+                let b = value("two JSON paths")?;
+                args.diff = Some((PathBuf::from(a), PathBuf::from(b)));
+                args.targets.insert(arg.clone());
             }
-            t => {
-                targets.insert(t.to_string());
+            t if ALL_TARGETS.contains(&t) || NAMED_TARGETS.contains(&t) => {
+                args.targets.insert(arg.clone());
             }
-        }
-        i += 1;
-    }
-    if targets.is_empty() || targets.contains("all") {
-        for t in [
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "obs",
-            "resolved",
-            "micro",
-            "chaos",
-            "atlas",
-            "trace",
-            "interarrival",
-        ] {
-            targets.insert(t.to_string());
+            other => return Err(format!("unknown target or flag `{other}`")),
         }
     }
-    Args {
-        targets,
-        days_short,
-        days_long,
-        seed,
-        out,
-        telemetry_out,
-        bench_out,
-        archive_dir,
-        quick,
-        progress,
-        diff,
+    if args.targets.is_empty() || args.targets.contains("all") {
+        args.targets
+            .extend(ALL_TARGETS.iter().map(|t| t.to_string()));
     }
+    Ok(args)
 }
 
 /// One stderr heartbeat line per simulated day (`--progress`).
@@ -248,7 +225,11 @@ fn write_figure(out: &Path, fig: &fork_core::FigureData) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("make-figures: {e}\n{}", usage());
+        std::process::exit(2);
+    });
     std::fs::create_dir_all(&args.out).expect("create output dir");
 
     // Top-level phase spans for this tool's own runs; merged into the
@@ -993,300 +974,11 @@ fn main() {
         );
     }
 
-    if wants("bench") {
-        use fork_query::{
-            FrameCache, Projection, Query, QueryExecutor, QueryRange, ReaderPool,
-            DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS,
-        };
-        use fork_replay::Side;
-        use fork_serve::{
-            run_load, workload_queries, LoadConfig, ServeClient, ServeConfig, Server,
-        };
-
-        let dir = args
-            .archive_dir
-            .clone()
-            .unwrap_or_else(|| args.out.join("archive"));
-        if !dir.join("manifest.json").is_file() {
-            let study = if args.quick {
-                eprintln!(
-                    "No archive at {}; running and archiving a quick-scale study (seed {})...",
-                    dir.display(),
-                    args.seed
-                );
-                ForkStudy::quick(args.seed)
-            } else {
-                eprintln!(
-                    "No archive at {}; running and archiving the fork-month window \
-                     ({} days, seed {})...",
-                    dir.display(),
-                    args.days_short,
-                    args.seed
-                );
-                ForkStudy::days(args.seed, args.days_short)
-            };
-            let live = study.archive_to(&dir).expect("archive run");
-            telemetry.merge(&live.telemetry);
-        }
-
-        eprintln!("Benchmarking archive at {}...", dir.display());
-        let pool = ReaderPool::open(&dir).expect("open archive");
-        let (total_blocks, total_txs) = pool.reader().totals();
-
-        // Raw scan throughput: full per-side Blocks scans through a fresh
-        // cold cache, 8 workers. Every archived block is decoded once.
-        let scan_queries: Vec<Query> = [Side::Eth, Side::Etc]
-            .into_iter()
-            .map(|side| Query {
-                side: Some(side),
-                range: QueryRange::All,
-                projection: Projection::Blocks,
-            })
-            .collect();
-        let scan_exec = QueryExecutor::new(8);
-        let t = std::time::Instant::now();
-        for r in scan_exec.run_batch(&pool, &scan_queries) {
-            r.expect("scan query");
-        }
-        let scan_wall = t.elapsed();
-        let blocks_per_sec = total_blocks as f64 / scan_wall.as_secs_f64().max(1e-9);
-
-        // Point lookups: the sidecar-indexed path raced against a naive
-        // full scan over the same sampled hashes. The index build (or
-        // sidecar load) is timed once; each lookup is timed individually.
-        use fork_query::Lookup;
-        let t = std::time::Instant::now();
-        let index_entries = pool.hash_index().len();
-        let index_build_ms = t.elapsed().as_secs_f64() * 1e3;
-        let mut sample_lookups: Vec<Lookup> = Vec::new();
-        for side in [Side::Eth, Side::Etc] {
-            let mut blocks = Vec::new();
-            let mut txs = Vec::new();
-            for item in pool.reader().records(side) {
-                match item.expect("clean archive").1 {
-                    fork_archive::ArchiveRecord::Block(b) => blocks.push(b.hash),
-                    fork_archive::ArchiveRecord::Tx(x) => txs.push(x.hash),
-                }
-            }
-            for (from, is_block) in [(blocks, true), (txs, false)] {
-                if from.is_empty() {
-                    continue;
-                }
-                for k in 0..16usize {
-                    let hash = from[k * (from.len() - 1) / 15];
-                    sample_lookups.push(if is_block {
-                        Lookup::BlockByHash { hash }
-                    } else {
-                        Lookup::TxByHash { hash }
-                    });
-                }
-            }
-        }
-        let mut indexed_lat = fork_telemetry::HistogramSnapshot::default();
-        let mut scan_lat = fork_telemetry::HistogramSnapshot::default();
-        let lookup_exec = QueryExecutor::new(2);
-        let naive_reader = fork_archive::ArchiveReader::open(&dir).expect("reopen archive");
-        for round in 0..3 {
-            for lookup in &sample_lookups {
-                let t = std::time::Instant::now();
-                lookup_exec
-                    .run_lookup(&pool, lookup)
-                    .expect("indexed lookup");
-                indexed_lat.record(t.elapsed().as_micros() as u64);
-                if round == 0 {
-                    let t = std::time::Instant::now();
-                    QueryExecutor::run_lookup_naive(&naive_reader, lookup).expect("naive lookup");
-                    scan_lat.record(t.elapsed().as_micros() as u64);
-                }
-            }
-        }
-
-        // In-process batch rates, cold vs warm, over the serving workload.
-        let meta = fork_serve::server::archive_meta(&pool);
-        let workload = workload_queries(&meta);
-        let batch_pool = ReaderPool::new(
-            fork_archive::ArchiveReader::open(&dir).expect("reopen archive"),
-            FrameCache::new(DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS),
-        );
-        let exec = QueryExecutor::new(8);
-        let t = std::time::Instant::now();
-        for r in exec.run_batch(&batch_pool, &workload) {
-            r.expect("bench query");
-        }
-        let cold_wall = t.elapsed();
-        let cold_stats = batch_pool.cache().stats();
-        let t = std::time::Instant::now();
-        for r in exec.run_batch(&batch_pool, &workload) {
-            r.expect("bench query");
-        }
-        let warm_wall = t.elapsed();
-        let warm_stats = batch_pool.cache().stats();
-        let rate = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        };
-        let cold_hit_rate = rate(cold_stats.hits, cold_stats.misses);
-        let warm_hit_rate = rate(
-            warm_stats.hits - cold_stats.hits,
-            warm_stats.misses - cold_stats.misses,
-        );
-        let qps = |n: usize, wall: std::time::Duration| n as f64 / wall.as_secs_f64().max(1e-9);
-
-        // Tracing-off control: the same daemon and workload with the
-        // per-request tracing plane disabled, to price observability.
-        eprintln!("Starting tracing-off fork-served control (120 connections)...");
-        let mut off_cfg = ServeConfig::new(&dir);
-        off_cfg.tracing = false;
-        let off_handle = Server::start(off_cfg).expect("start tracing-off daemon");
-        let off_addr = off_handle.local_addr().to_string();
-        let mut off_load = LoadConfig::new(&off_addr);
-        off_load.connections = 120;
-        off_load.requests_per_conn = 10;
-        off_load.seed = args.seed;
-        let off_report = run_load(&off_load).expect("tracing-off load run");
-        off_handle.shutdown();
-        let tracing_off_p99 = off_report.overall.latency.p99();
-
-        // The served path: an in-process daemon on an ephemeral port under
-        // the standard fork-load mix — 120 connections, cold + warm phase.
-        eprintln!("Starting in-process fork-served and driving 120 connections...");
-        let handle = Server::start(ServeConfig::new(&dir)).expect("start daemon");
-        let addr = handle.local_addr().to_string();
-        let mut load_cfg = LoadConfig::new(&addr);
-        load_cfg.connections = 120;
-        load_cfg.requests_per_conn = 10;
-        load_cfg.seed = args.seed;
-        let report = run_load(&load_cfg).expect("load run");
-        print!("{}", report.render_table());
-
-        // Server-side view before shutdown: per-endpoint latency merged
-        // into one histogram, plus the shared frame-cache hit rate.
-        let mut probe = ServeClient::connect_retry(&addr, std::time::Duration::from_secs(5))
-            .expect("stats probe");
-        let stats_json = probe.stats().expect("stats");
-        let server_snap = Snapshot::from_json(&stats_json).expect("parse daemon stats");
-        let mut server_latency = fork_telemetry::HistogramSnapshot::default();
-        for (name, h) in &server_snap.histograms {
-            if name.starts_with("serve.latency.") {
-                server_latency.merge(h);
-            }
-        }
-        let counter = |name: &str| server_snap.counters.get(name).copied().unwrap_or(0);
-        let served_hit_rate = rate(counter("query.cache.hit"), counter("query.cache.miss"));
-
-        // Observability plane, scraped from the traced daemon before
-        // shutdown: slow-query log, series ring, and the stage histogram
-        // sums (the five stages should account for ~all of end-to-end).
-        let slow_log = probe.obs_slow_log().expect("slow log");
-        let series = probe.obs_series().expect("series ring");
-        let hist_sum = |name: &str| server_snap.histograms.get(name).map(|h| h.sum).unwrap_or(0);
-        let stage_sum_us: u64 = ["read", "admit", "queue", "execute", "write"]
-            .iter()
-            .map(|s| hist_sum(&format!("serve.stage.{s}")))
-            .sum();
-        let stage_total_us = hist_sum("serve.stage.total");
-        drop(probe);
-        handle.shutdown();
-        telemetry.merge(&server_snap);
-        let tracing_on_p99 = report.overall.latency.p99();
-        let overhead_ratio = tracing_on_p99 as f64 / tracing_off_p99.max(1) as f64;
-
-        let phase_obj = |name: &str, wall: std::time::Duration, hit_rate: f64, n: usize| {
-            format!(
-                "{{\"name\": \"{name}\", \"wall_ms\": {:.1}, \"queries_per_sec\": {:.1}, \
-                 \"cache_hit_rate\": {hit_rate:.4}}}",
-                wall.as_secs_f64() * 1e3,
-                qps(n, wall),
-            )
-        };
-        let pctls = |h: &fork_telemetry::HistogramSnapshot| {
-            format!(
-                "{{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"min\": {}, \"max\": {}}}",
-                h.p50(),
-                h.p90(),
-                h.p99(),
-                h.min,
-                h.max
-            )
-        };
-        let json = format!(
-            "{{\n  \"schema\": \"fork-bench/v1\",\n  \"archive\": {{\"dir\": {:?}, \
-             \"blocks\": {total_blocks}, \"txs\": {total_txs}}},\n  \"scan\": \
-             {{\"blocks_per_sec\": {blocks_per_sec:.1}, \"wall_ms\": {:.1}}},\n  \
-             \"lookup\": {{\"index_entries\": {index_entries}, \
-             \"index_build_ms\": {index_build_ms:.1}, \"samples\": {}, \
-             \"indexed_latency_us\": {}, \"scan_latency_us\": {}}},\n  \
-             \"in_process\": {{\"queries\": {}, \"cold\": {}, \"warm\": {}}},\n  \
-             \"served\": {{\"connections\": {}, \"requests\": {}, \"ok\": {}, \
-             \"overloaded\": {}, \"backpressure\": {}, \"errors\": {}, \
-             \"queries_per_sec\": {:.1}, \"cache_hit_rate\": {served_hit_rate:.4}, \
-             \"client_latency_us\": {}, \"server_latency_us\": {}}},\n  \
-             \"obs\": {{\"tracing_on_p99_us\": {tracing_on_p99}, \
-             \"tracing_off_p99_us\": {tracing_off_p99}, \
-             \"overhead_ratio\": {overhead_ratio:.4}, \
-             \"slow_log\": {}, \"series_samples\": {}, \
-             \"stage_sum_us\": {stage_sum_us}, \"stage_total_us\": {stage_total_us}}}\n}}\n",
-            dir.display().to_string(),
-            scan_wall.as_secs_f64() * 1e3,
-            sample_lookups.len(),
-            pctls(&indexed_lat),
-            pctls(&scan_lat),
-            workload.len(),
-            phase_obj("cold", cold_wall, cold_hit_rate, workload.len()),
-            phase_obj("warm", warm_wall, warm_hit_rate, workload.len()),
-            report.connections,
-            report.overall.requests,
-            report.overall.ok,
-            report.overall.overloaded,
-            report.overall.backpressure,
-            report.overall.errors,
-            report.overall.queries_per_sec(),
-            pctls(&report.overall.latency),
-            pctls(&server_latency),
-            slow_log.len(),
-            series.len(),
-        );
-        std::fs::write(&args.bench_out, &json).expect("write bench report");
-        println!(
-            "bench: {blocks_per_sec:.0} blocks/s scanned; lookups p99 {}us indexed \
-             vs {}us full-scan ({} entries, built in {index_build_ms:.0}ms); \
-             in-process {:.0} q/s cold \
-             -> {:.0} q/s warm (hit rate {:.1}% -> {:.1}%); served {:.0} q/s, \
-             client p99 {}us, server p99 {}us",
-            indexed_lat.p99(),
-            scan_lat.p99(),
-            index_entries,
-            qps(workload.len(), cold_wall),
-            qps(workload.len(), warm_wall),
-            100.0 * cold_hit_rate,
-            100.0 * warm_hit_rate,
-            report.overall.queries_per_sec(),
-            report.overall.latency.p99(),
-            server_latency.p99(),
-        );
-        println!(
-            "obs: tracing on p99 {tracing_on_p99}us vs off {tracing_off_p99}us \
-             (x{overhead_ratio:.2}); {} slow queries logged, {} series samples; \
-             stage sum {stage_sum_us}us vs end-to-end {stage_total_us}us",
-            slow_log.len(),
-            series.len(),
-        );
-        println!("  -> {}\n", args.bench_out.display());
-    }
-
     if wants("macro") {
-        use fork_sim::macroscale::{macro_propagation, MacroConfig, MacroNet, TopologyGenConfig};
+        use fork_sim::macroscale::{macro_propagation, MacroNet};
         eprintln!("Running the macro-scale engine (propagation at 100/500/1,000 nodes)...");
         let run_span = registry.span("figures.run.macro");
         let guard = run_span.enter();
-        let shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8);
 
         let mut rows: Vec<Vec<String>> = Vec::new();
         for (label, n) in [
@@ -1300,7 +992,6 @@ fn main() {
                 config.duration_secs = 300;
                 config.fork_at_secs = Some(150);
             }
-            config.n_shards = shards;
             let mut net = MacroNet::new(config).expect("macro propagation preset is valid");
             net.attach_registry(&registry);
             let report = if args.progress {
@@ -1336,65 +1027,6 @@ fn main() {
                 ]);
             }
         }
-
-        // Serial-vs-sharded timing race at 1,000 nodes: identical config
-        // and seed, so the reports must be byte-identical — only the
-        // wall-clock may differ. Dense blocks + heavy simulated header
-        // verification (a pure ALU spin, the sharded phase's dominant
-        // cost) give the shards real work to parallelize; each arm runs
-        // twice and keeps its best wall, the usual guard against a cold
-        // first pass.
-        eprintln!("Racing serial vs {shards}-shard execution at 1,000 nodes...");
-        let bench_config = MacroConfig {
-            seed: args.seed,
-            topology: TopologyGenConfig {
-                n_nodes: 1_000,
-                ..TopologyGenConfig::default()
-            },
-            duration_secs: if args.quick { 30 } else { 60 },
-            round_ms: 200,
-            block_every_secs: 2.0,
-            verify_cost: 131_072,
-            ..MacroConfig::default()
-        };
-        let time_one = |n_shards: usize| {
-            let mut cfg = bench_config.clone();
-            cfg.n_shards = n_shards;
-            let mut net = MacroNet::new(cfg).expect("bench config valid");
-            let t0 = std::time::Instant::now();
-            let report = net.run();
-            (t0.elapsed(), report)
-        };
-        // Interleave the arms (S,P × 3, best wall each) so machine drift
-        // during the race biases neither side.
-        let mut serial_best: Option<(std::time::Duration, _)> = None;
-        let mut parallel_best: Option<(std::time::Duration, _)> = None;
-        for _ in 0..3 {
-            let (wall, report) = time_one(1);
-            let better = match &serial_best {
-                Some((w, _)) => wall < *w,
-                None => true,
-            };
-            if better {
-                serial_best = Some((wall, report));
-            }
-            let (wall, report) = time_one(shards);
-            let better = match &parallel_best {
-                Some((w, _)) => wall < *w,
-                None => true,
-            };
-            if better {
-                parallel_best = Some((wall, report));
-            }
-        }
-        let (serial_wall, serial_report) = serial_best.expect("three passes ran");
-        let (parallel_wall, parallel_report) = parallel_best.expect("three passes ran");
-        let byte_identical = format!("{serial_report:?}") == format!("{parallel_report:?}");
-        assert!(byte_identical, "sharded macro run diverged from serial");
-        let rounds = serial_report.rounds_executed;
-        let serial_rps = rounds as f64 / serial_wall.as_secs_f64().max(1e-9);
-        let parallel_rps = rounds as f64 / parallel_wall.as_secs_f64().max(1e-9);
-        let speedup = parallel_rps / serial_rps;
         drop(guard);
 
         // macro.md carries only simulation-derived numbers (no wall-clock),
@@ -1413,36 +1045,6 @@ fn main() {
         println!("{md}");
         std::fs::write(args.out.join("macro.md"), &md).expect("write macro figure");
         println!("  -> {}\n", args.out.join("macro.md").display());
-
-        // Splice the `macro` section into the bench report, preserving any
-        // sections a `bench` run already wrote (and replacing a previous
-        // `macro` section — it is always the last key).
-        let macro_json = format!(
-            "\"macro\": {{\"nodes\": 1000, \"rounds\": {rounds}, \
-             \"serial_rounds_per_sec\": {serial_rps:.2}, \
-             \"parallel_rounds_per_sec\": {parallel_rps:.2}, \
-             \"speedup\": {speedup:.3}, \"shards\": {shards}, \
-             \"byte_identical\": {byte_identical}}}"
-        );
-        let report_json = match std::fs::read_to_string(&args.bench_out) {
-            Ok(existing) => {
-                let trimmed = existing.trim_end();
-                let head = match trimmed.find("\"macro\":") {
-                    Some(pos) => trimmed[..pos].trim_end().trim_end_matches(','),
-                    None => trimmed
-                        .strip_suffix('}')
-                        .expect("bench report ends with a closing brace"),
-                };
-                format!("{},\n  {macro_json}\n}}\n", head.trim_end())
-            }
-            Err(_) => format!("{{\n  \"schema\": \"fork-bench/v1\",\n  {macro_json}\n}}\n"),
-        };
-        std::fs::write(&args.bench_out, &report_json).expect("write bench report");
-        println!(
-            "macro: {rounds} rounds at 1,000 nodes; serial {serial_rps:.0} rounds/s vs \
-             {shards}-shard {parallel_rps:.0} rounds/s (x{speedup:.2}), reports byte-identical"
-        );
-        println!("  -> {}\n", args.bench_out.display());
     }
 
     if let Some((a_path, b_path)) = &args.diff {
@@ -1471,5 +1073,93 @@ fn main() {
         println!("Telemetry\n{}", telemetry.render_table());
         std::fs::write(path, telemetry.to_json(TimingMode::Wall)).expect("write telemetry");
         println!("  -> {}\n", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn targets_and_flags_parse() {
+        let args = parse(&[
+            "fig1", "macro", "--days", "3", "--seed", "7", "--out", "d", "--quick",
+        ])
+        .unwrap();
+        let want: HashSet<String> = ["fig1", "macro"].iter().map(|t| t.to_string()).collect();
+        assert_eq!(args.targets, want);
+        assert_eq!((args.days_short, args.days_long, args.seed), (3, 3, 7));
+        assert_eq!(args.out, PathBuf::from("d"));
+        assert!(args.quick && !args.progress);
+
+        let long = parse(&["fig2", "--days", "280"]).unwrap();
+        assert_eq!((long.days_short, long.days_long), (31, 280));
+    }
+
+    #[test]
+    fn no_target_or_all_expands_to_the_default_set() {
+        for words in [&[][..], &["all"][..], &["--seed", "1"][..]] {
+            let args = parse(words).unwrap();
+            for t in ALL_TARGETS {
+                assert!(args.targets.contains(*t), "{words:?} lacks {t}");
+            }
+            assert!(!args.targets.contains("macro"), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_words_are_rejected() {
+        for words in [
+            &["bnech", "--out", "d"][..],
+            &["bench", "--quick"][..],
+            &["fig1", "--bench-out", "x.json"][..],
+            &["--verbose"][..],
+        ] {
+            let err = parse(words).unwrap_err();
+            assert!(
+                err.starts_with("unknown target or flag"),
+                "{words:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_an_error_not_a_panic() {
+        for flag in [
+            "--seed",
+            "--days",
+            "--out",
+            "--telemetry-out",
+            "--archive-dir",
+        ] {
+            let err = parse(&["fig1", flag]).unwrap_err();
+            assert!(err.starts_with(flag), "{flag}: {err}");
+        }
+        assert!(parse(&["--days", "many"]).is_err());
+        assert!(parse(&["telemetry-diff", "a.json"]).is_err());
+    }
+
+    #[test]
+    fn telemetry_diff_takes_two_paths() {
+        let args = parse(&["telemetry-diff", "a.json", "b.json"]).unwrap();
+        assert_eq!(
+            args.diff,
+            Some((PathBuf::from("a.json"), PathBuf::from("b.json")))
+        );
+        assert_eq!(args.targets.len(), 1);
+    }
+
+    #[test]
+    fn usage_lists_every_target() {
+        let text = usage();
+        for t in ALL_TARGETS.iter().chain(NAMED_TARGETS) {
+            assert!(text.contains(t), "usage lacks {t}");
+        }
+        assert!(!text.contains("bench"));
     }
 }

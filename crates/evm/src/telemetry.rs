@@ -84,24 +84,50 @@ mod tests {
     use super::*;
 
     // The statics are process-global, so this single test exercises the whole
-    // record → snapshot → reset cycle to avoid ordering hazards with other
-    // tests that execute EVM code.
+    // record → snapshot → reset cycle. Other tests in this crate execute EVM
+    // code concurrently, so every assertion is a bound those tests cannot
+    // cross: every metric is driven to at least MARK (or MARK_GAS) before the
+    // reset and must sit below it afterwards.
     #[test]
     fn dispatch_and_gas_flow_into_snapshot() {
-        reset();
-        record_dispatch(0x01); // ADD
-        record_dispatch(0x60); // PUSH1
-        record_dispatch(0x60);
-        record_tx_gas(21_000);
+        const MARK: u64 = 1 << 20;
+        const MARK_GAS: u64 = 1 << 60;
+        for class in OpClass::ALL {
+            let byte = (0u8..=255)
+                .find(|&b| OpClass::classify(b) == class)
+                .expect("every class has a byte");
+            for _ in 0..MARK {
+                record_dispatch(byte);
+            }
+        }
+        for _ in 0..MARK {
+            record_tx_gas(MARK_GAS);
+        }
         let mut snap = Snapshot::default();
         snapshot_into(&mut snap);
-        assert!(snap.counters["evm.ops.arithmetic"] >= 1);
-        assert!(snap.counters["evm.ops.stack_mem"] >= 2);
-        assert!(snap.counters["evm.txs_executed"] >= 1);
-        assert!(snap.histograms["evm.gas_used"].count >= 1);
+        for class in OpClass::ALL {
+            assert!(snap.counters[&format!("evm.ops.{}", class.name())] >= MARK);
+        }
+        assert!(snap.counters["evm.txs_executed"] >= MARK);
+        assert!(snap.histograms["evm.gas_used"].count >= MARK);
+        assert!(snap.histograms["evm.gas_used"].max >= MARK_GAS);
         reset();
         let mut snap = Snapshot::default();
         snapshot_into(&mut snap);
-        assert!(snap.is_empty(), "reset must clear all evm metrics");
+        for (name, &n) in &snap.counters {
+            assert!(n < MARK, "reset must clear {name}: {n}");
+        }
+        if let Some(gas) = snap.histograms.get("evm.gas_used") {
+            assert!(
+                gas.count < MARK,
+                "reset must clear the gas count: {}",
+                gas.count
+            );
+            assert!(
+                gas.max < MARK_GAS,
+                "reset must clear the gas max: {}",
+                gas.max
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end check of the explorer's lookup path: over full simulated
 //! fork archives, every sidecar-indexed lookup must answer byte-identically
 //! to a naive full scan — cold (index built from scratch) and warm (index
-//! loaded from the persisted sidecar) — and header chains must verify
+//! loaded from the persisted sidecar) while reading exactly one frame per
+//! present hash and none per absent one — and header chains must verify
 //! client-side from frame checksums alone.
 
 use std::path::PathBuf;
@@ -18,6 +19,13 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fork-explorer-e2e-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Frames the pool has read so far: every frame read probes the cache
+/// once, as a hit or a miss.
+fn frames_read(pool: &ReaderPool) -> u64 {
+    let stats = pool.cache().stats();
+    stats.hits + stats.misses
 }
 
 /// Samples real hashes and block numbers from the archive, spread across
@@ -126,18 +134,28 @@ fn indexed_lookups_are_byte_identical_to_naive_scans_across_seeds() {
         for pass in ["cold", "warm"] {
             let pool = ReaderPool::open(&dir).unwrap();
             for lookup in &lookups {
+                let frames_before = frames_read(&pool);
                 let got = exec.run_lookup(&pool, lookup).unwrap();
+                let frames = frames_read(&pool) - frames_before;
                 let want = QueryExecutor::run_lookup_naive(&naive_reader, lookup).unwrap();
                 assert_eq!(
                     got, want,
                     "seed {seed}, {pass}: indexed {lookup:?} diverged from the naive scan"
                 );
-                if let LookupOutput::Found(found) = &got {
-                    if matches!(lookup, Lookup::BlockByHash { hash } | Lookup::TxByHash { hash }
-                        if hash.0 == [0xEE; 32])
-                    {
-                        assert!(found.is_none(), "seed {seed}: absent hash matched");
-                    }
+                // The hash index is really used: a present hash reads
+                // exactly its one frame, an absent one reads none. A
+                // fallback scan would read every frame of a side.
+                if let Lookup::BlockByHash { hash } | Lookup::TxByHash { hash } = lookup {
+                    let absent = hash.0 == [0xEE; 32];
+                    let LookupOutput::Found(found) = &got else {
+                        panic!("seed {seed}: hash lookup answered {got:?}");
+                    };
+                    assert_eq!(found.is_none(), absent, "seed {seed}: {lookup:?}");
+                    assert_eq!(
+                        frames,
+                        u64::from(!absent),
+                        "seed {seed}, {pass}: {lookup:?} read {frames} frames"
+                    );
                 }
             }
             if pass == "cold" {
