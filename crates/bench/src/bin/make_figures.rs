@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 
 use fork_core::{observations, ForkStudy, StudyResult};
 use fork_sim::resolved::{run as run_resolved, ResolvedForkConfig};
-use fork_sim::{MicroConfig, MicroNet};
+use fork_sim::{MicroConfig, MicroNet, NetView};
 use fork_telemetry::{MetricsRegistry, Snapshot, TimingMode};
 
 /// What `all` (or no target at all) runs.

@@ -1,8 +1,8 @@
-//! Deterministic fault schedules for the micro engine.
+//! Deterministic fault schedules for the simulation engines.
 //!
 //! A [`ChaosPlan`] scripts *when* faults happen — node crashes and restarts,
 //! mid-run link-degradation windows, byzantine peers, network partitions
-//! that sever and later heal topology edges — while the engine's
+//! that sever and later heal topology edges — while the micro engine's
 //! [`ResilienceConfig`] governs *how* honest nodes survive them: per-request
 //! timeouts, bounded retries with exponential backoff and jitter, and a
 //! decaying per-peer misbehavior score that disconnects peers exceeding a
@@ -10,6 +10,11 @@
 //! a chaos run is exactly as reproducible as a clean one — and
 //! [`ChaosPlan::NONE`] adds zero events and zero RNG draws, leaving the
 //! clean figures byte-identical.
+//! Both engines run partitions through the same three pieces:
+//! [`ChaosPlan::cut_schedule`], [`ChaosPlan::cut_pairs`] and [`CutSet`].
+
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use fork_net::FaultPlan;
 
@@ -129,6 +134,27 @@ pub struct IsolationEvent {
     pub at_ms: u64,
     /// Rejoin time, milliseconds into the run (`None` = never rejoins).
     pub rejoin_at_ms: Option<u64>,
+}
+
+/// One step of a plan's cut timeline (see [`ChaosPlan::cut_schedule`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutChange {
+    /// Partition `idx` starts: its cross-group pairs are cut.
+    PartitionStarts(usize),
+    /// Partition `idx` heals: its cuts lift.
+    PartitionHeals(usize),
+    /// Isolation `idx` starts: every pair touching its node is cut.
+    NodeIsolated(usize),
+    /// Isolation `idx` ends: its cuts lift.
+    NodeRejoins(usize),
+}
+
+impl CutChange {
+    /// Whether the change lifts cuts (a heal or rejoin) rather than adding
+    /// them.
+    pub const fn lifts(self) -> bool {
+        matches!(self, Self::PartitionHeals(_) | Self::NodeRejoins(_))
+    }
 }
 
 /// An invalid [`ChaosPlan`].
@@ -423,6 +449,88 @@ impl ChaosPlan {
             .iter()
             .find(|w| w.from_secs * 1_000 <= now_ms && now_ms < w.until_secs * 1_000)
             .map(|w| w.faults)
+    }
+
+    /// The cut timeline as `(at_ms, change)`: each partition's start and
+    /// heal in plan order, then each isolation's start and rejoin. Both
+    /// engines keep this order among changes at the same instant.
+    pub fn cut_schedule(&self) -> Vec<(u64, CutChange)> {
+        let mut schedule = Vec::new();
+        for (idx, p) in self.partitions.iter().enumerate() {
+            schedule.push((p.at_ms, CutChange::PartitionStarts(idx)));
+            if let Some(heal) = p.heal_at_ms {
+                schedule.push((heal, CutChange::PartitionHeals(idx)));
+            }
+        }
+        for (idx, i) in self.isolations.iter().enumerate() {
+            schedule.push((i.at_ms, CutChange::NodeIsolated(idx)));
+            if let Some(rejoin) = i.rejoin_at_ms {
+                schedule.push((rejoin, CutChange::NodeRejoins(idx)));
+            }
+        }
+        schedule
+    }
+
+    /// Every `(lo, hi)` node pair `change` cuts or lifts among `n_nodes`,
+    /// edge or not, in plan order: heals restore edges in this order, and
+    /// adjacency-list order shapes gossip fan-out.
+    pub fn cut_pairs(&self, change: CutChange, n_nodes: usize) -> Vec<(usize, usize)> {
+        let pair = |a: usize, b: usize| (a.min(b), a.max(b));
+        match change {
+            CutChange::PartitionStarts(idx) | CutChange::PartitionHeals(idx) => {
+                let groups = &self.partitions[idx].groups;
+                let mut pairs = Vec::new();
+                for (gi, ga) in groups.iter().enumerate() {
+                    for gb in &groups[gi + 1..] {
+                        for &a in ga {
+                            pairs.extend(gb.iter().map(|&b| pair(a, b)));
+                        }
+                    }
+                }
+                pairs
+            }
+            CutChange::NodeIsolated(idx) | CutChange::NodeRejoins(idx) => {
+                let node = self.isolations[idx].node;
+                (0..n_nodes)
+                    .filter(|&j| j != node)
+                    .map(|j| pair(node, j))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// The node pairs currently cut, as a multiset: a pair under overlapping
+/// cuts stays cut until the last of them lifts.
+#[derive(Debug, Clone, Default)]
+pub struct CutSet<K> {
+    count: HashMap<K, u32>,
+}
+
+impl<K: Hash + Eq> CutSet<K> {
+    /// Adds one cut over `pair`; true when it is the pair's first.
+    pub fn cut(&mut self, pair: K) -> bool {
+        let c = self.count.entry(pair).or_insert(0);
+        *c += 1;
+        *c == 1
+    }
+
+    /// Lifts one cut over `pair`; true when it was the pair's last. Lifting
+    /// a pair that is not cut does nothing.
+    pub fn lift(&mut self, pair: K) -> bool {
+        match self.count.get_mut(&pair) {
+            Some(1) => self.count.remove(&pair).is_some(),
+            Some(c) => {
+                *c -= 1;
+                false
+            }
+            None => false,
+        }
+    }
+
+    /// Whether any cut covers `pair`.
+    pub fn is_cut(&self, pair: &K) -> bool {
+        self.count.contains_key(pair)
     }
 }
 
@@ -750,6 +858,45 @@ mod tests {
             never_rejoins.validate(4),
             Err(ChaosPlanError::CrashWhileIsolated { node: 2, .. })
         ));
+    }
+
+    #[test]
+    fn cut_schedule_and_pairs_follow_plan_order() {
+        let plan = ChaosPlan::NONE
+            .create_partition(60_000, vec![vec![3, 0], vec![1], vec![2]])
+            .heal_partition(120_000)
+            .isolate_node(1, 30_000)
+            .create_partition(90_000, vec![vec![0], vec![1]]);
+        assert_eq!(
+            plan.cut_schedule(),
+            vec![
+                (60_000, CutChange::PartitionStarts(0)),
+                (120_000, CutChange::PartitionHeals(0)),
+                (90_000, CutChange::PartitionStarts(1)),
+                (30_000, CutChange::NodeIsolated(0)),
+            ]
+        );
+        let heal = CutChange::PartitionHeals(0);
+        assert!(heal.lifts() && !CutChange::PartitionStarts(0).lifts());
+        assert_eq!(
+            plan.cut_pairs(heal, 4),
+            vec![(1, 3), (0, 1), (2, 3), (0, 2), (1, 2)]
+        );
+        assert_eq!(
+            plan.cut_pairs(CutChange::NodeIsolated(0), 4),
+            vec![(0, 1), (1, 2), (1, 3)]
+        );
+    }
+
+    #[test]
+    fn cut_set_counts_overlapping_cuts() {
+        let mut cuts = CutSet::default();
+        assert!(!cuts.lift((0, 1)), "lifting an uncut pair is a no-op");
+        assert!(cuts.cut((0, 1)), "first cut");
+        assert!(!cuts.cut((0, 1)), "second, overlapping cut");
+        assert!(!cuts.lift((0, 1)) && cuts.is_cut(&(0, 1)));
+        assert!(cuts.lift((0, 1)), "last lift");
+        assert!(!cuts.is_cut(&(0, 1)));
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! The checks are read-only and deterministic: they inspect store contents,
 //! gossip dedup filters, and event-queue sizes through the micro engine's
 //! public accessors and never perturb the run.
+//!
+//! [`partition_census`], [`check_heal_convergence`] and
+//! [`check_reorg_depth`] serve both engines through [`NetView`].
 
 use std::fmt;
 
@@ -473,20 +476,82 @@ pub fn check_side_agreement(
     Ok(())
 }
 
+/// What the census and the heal/reorg checks read from either engine.
+pub trait NetView {
+    /// A canonical block identity, compared for equality only.
+    type Hash: PartialEq;
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+
+    /// Head height of node `i`.
+    fn head_number(&self, i: usize) -> u64;
+
+    /// Node `i`'s canonical hash at height `number`, if it holds one.
+    fn canonical_hash(&self, i: usize, number: u64) -> Option<Self::Hash>;
+
+    /// The lowest height the census compares at: the fork height, above
+    /// which split rules differ at every block (0 without a fork).
+    fn census_floor(&self) -> u64;
+
+    /// Deepest reorg observed so far (canonical blocks rolled back at once).
+    fn max_reorg_depth(&self) -> u64;
+}
+
+/// The chain-agreement census: cluster sizes, descending. Two nodes share a
+/// group when they hold the same canonical hash 8 blocks below the lower of
+/// their heads (so a tip race doesn't read as a partition), compared no
+/// lower than [`NetView::census_floor`] (the fork block itself leaves micro
+/// stores' retention window). One group = a connected, agreeing network.
+///
+/// The grouping is greedy: each unclaimed node opens a group and claims
+/// every later unclaimed node that agrees with it. A node fewer than 8
+/// blocks past a split agrees with *both* sides at the comparison height and
+/// joins whichever group reaches it first, so a never-healed two-way split
+/// can read `[9, 7]` or `[8, 7, 1]` as well as `[8, 8]`.
+pub fn partition_census<N: NetView + ?Sized>(net: &N) -> Vec<usize> {
+    let floor = net.census_floor();
+    let n = net.node_count();
+    let mut group = vec![usize::MAX; n];
+    let mut count = Vec::new();
+    for i in 0..n {
+        if group[i] != usize::MAX {
+            continue;
+        }
+        group[i] = count.len();
+        count.push(1usize);
+        let head_i = net.head_number(i);
+        for j in i + 1..n {
+            if group[j] != usize::MAX {
+                continue;
+            }
+            let m = head_i.min(net.head_number(j));
+            let cmp = m.saturating_sub(8).max(floor.min(m));
+            let a = net.canonical_hash(i, cmp);
+            if a.is_some() && a == net.canonical_hash(j, cmp) {
+                group[j] = group[i];
+                count[group[i]] += 1;
+            }
+        }
+    }
+    count.sort_unstable_by(|a, b| b.cmp(a));
+    count
+}
+
 /// Checks that the network has converged back to its per-spec agreement
-/// groups: the pairwise census ([`MicroNet::partition_census`]) must hold
-/// exactly `expected_groups` clusters — one for a uniform-spec run, two for
-/// a fork split. Meaningful only after every scripted partition has healed
-/// and a propagation/resync grace has elapsed, so — like
+/// groups: the pairwise census ([`partition_census`]) must hold exactly
+/// `expected_groups` clusters — one for a uniform-spec run, two for a fork
+/// split. Meaningful only after every scripted partition has healed and a
+/// propagation/resync grace has elapsed, so — like
 /// [`check_side_agreement`] — it is a separate call, sampled window by
 /// window by the atlas harness rather than folded into
 /// [`check_invariants`]. A deliberately never-healed partition fails this
 /// check: that is the atlas's negative control.
-pub fn check_heal_convergence(
-    net: &MicroNet,
+pub fn check_heal_convergence<N: NetView + ?Sized>(
+    net: &N,
     expected_groups: usize,
 ) -> Result<(), InvariantViolation> {
-    let groups = net.partition_census();
+    let groups = partition_census(net);
     if groups.len() != expected_groups {
         return Err(InvariantViolation::HealConvergenceFailed {
             groups,
@@ -501,36 +566,8 @@ pub fn check_heal_convergence(
 /// side mined while split, so `bound` is derived from the longest partition
 /// duration (plus a transient-fork margin — the caller owns the scaling;
 /// atlas presets use `2 × duration / target_block_time + 8`).
-pub fn check_reorg_depth(net: &MicroNet, bound: u64) -> Result<(), InvariantViolation> {
-    let depth = net.max_reorg_depth();
-    if depth > bound {
-        return Err(InvariantViolation::ReorgDepthExceeded { depth, bound });
-    }
-    Ok(())
-}
-
-/// [`check_heal_convergence`] for the macro engine: the macro census
-/// ([`MacroNet::partition_census`](crate::macroscale::MacroNet::partition_census))
-/// must hold exactly `expected_groups` clusters. Same semantics and same
-/// violation variant as the micro check — only the engine differs.
-pub fn check_macro_heal_convergence(
-    net: &crate::macroscale::MacroNet,
-    expected_groups: usize,
-) -> Result<(), InvariantViolation> {
-    let groups = net.partition_census();
-    if groups.len() != expected_groups {
-        return Err(InvariantViolation::HealConvergenceFailed {
-            groups,
-            expected: expected_groups,
-        });
-    }
-    Ok(())
-}
-
-/// [`check_reorg_depth`] for the macro engine: the deepest reorg any macro
-/// node performed must be explainable by the scripted partitions.
-pub fn check_macro_reorg_depth(
-    net: &crate::macroscale::MacroNet,
+pub fn check_reorg_depth<N: NetView + ?Sized>(
+    net: &N,
     bound: u64,
 ) -> Result<(), InvariantViolation> {
     let depth = net.max_reorg_depth();

@@ -15,10 +15,10 @@
 //! * [`scenario`] — calibrated presets binding the historical timeline.
 //! * [`chaos`] — deterministic fault-injection plans (node crashes and
 //!   restarts, link-degradation windows, byzantine peers, network partitions
-//!   and node isolations with scripted heals) and the resilience knobs
-//!   (timeouts, retries, peer scoring) the micro engine runs under.
+//!   and node isolations with scripted heals, cut the same way in both
+//!   engines) and the micro engine's resilience knobs.
 //! * [`invariants`] — the safety conditions a chaos run must never violate,
-//!   checked window-by-window by the chaos harness.
+//!   and the census and heal/reorg checks both engines share.
 //! * [`macroscale`] — the 1,000+ node macro-scale engine: seeded realistic
 //!   topology generation (power-law degrees, geo-latency clusters, client
 //!   diversity) and a sharded deterministic lock-step round engine with a
@@ -45,9 +45,8 @@ pub use chaos::{
     IsolationEvent, PartitionEvent, RecoveryMode, ResilienceConfig,
 };
 pub use invariants::{
-    check_heal_convergence, check_invariants, check_macro_heal_convergence,
-    check_macro_reorg_depth, check_reorg_depth, check_side_agreement, violation_report,
-    InvariantViolation,
+    check_heal_convergence, check_invariants, check_reorg_depth, check_side_agreement,
+    partition_census, violation_report, InvariantViolation, NetView,
 };
 pub use macroscale::{
     macro_partition, macro_propagation, ClientKind, GeoCluster, MacroConfig, MacroError, MacroNet,

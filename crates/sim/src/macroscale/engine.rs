@@ -22,11 +22,11 @@
 //! construction*, and the determinism suite locks it down across shard
 //! counts.
 //!
-//! Chaos integration: [`ChaosPlan`] partitions/isolations toggle a cut-edge
-//! multiset at round boundaries (in the serial phase), degradation windows
-//! apply their drop chance per send from the *sender's* stream, and the
-//! plan is validated against the generated topology's node count up front
-//! — a typed [`MacroError`], not a panic deep in the engine. Messages
+//! Chaos integration: [`ChaosPlan`] cut changes update a [`CutSet`] of
+//! topology edges at round boundaries (in the serial phase), degradation
+//! windows apply their drop chance per send from the *sender's* stream, and
+//! the plan is validated against the generated topology's node count up
+//! front — a typed [`MacroError`], not a panic deep in the engine. Messages
 //! already in flight when an edge is cut still deliver (they left the wire
 //! before the cut), mirroring the micro engine's semantics.
 
@@ -36,7 +36,8 @@ use std::sync::Arc;
 use fork_telemetry::{Counter, MetricsRegistry, SpanStats};
 use rand::Rng;
 
-use crate::chaos::{ChaosPlan, ChaosPlanError};
+use crate::chaos::{ChaosPlan, ChaosPlanError, CutChange, CutSet};
+use crate::invariants::NetView;
 use crate::meso::ProgressEvent;
 use crate::rng::SimRng;
 
@@ -63,9 +64,6 @@ pub struct MacroConfig {
     pub miner_fraction: f64,
     /// Uniform per-message jitter on top of the edge base latency, ms.
     pub jitter_ms: u64,
-    /// Simulated header-verification work per block import (hash mixes; a
-    /// stand-in for the millisecond-scale PoW check real clients run).
-    pub verify_cost: u32,
     /// When set, blocks mined at or after this simulated time carry their
     /// miner's fork side, and nodes reject blocks from the other side —
     /// the protocol-level partition.
@@ -91,7 +89,6 @@ impl Default for MacroConfig {
             block_every_secs: 14.0,
             miner_fraction: 0.10,
             jitter_ms: 20,
-            verify_cost: 64,
             fork_at_secs: None,
             etc_share: 0.0,
             chaos: ChaosPlan::NONE,
@@ -183,7 +180,7 @@ struct Envelope {
     msg: MacroMsg,
 }
 
-/// splitmix64 — the block-identity and verification-work mixer.
+/// splitmix64 — the block-identity mixer.
 fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -193,17 +190,6 @@ fn mix64(mut x: u64) -> u64 {
 
 fn block_hash(parent: u64, miner: u32, nonce: u64) -> u64 {
     mix64(parent ^ mix64((miner as u64) << 32 | nonce))
-}
-
-/// Simulated header verification: `cost` dependent hash mixes. The result
-/// is folded into a per-node accumulator (surfaced in the report) so the
-/// work cannot be optimized away.
-fn verify_spin(seed: u64, cost: u32) -> u64 {
-    let mut acc = seed;
-    for _ in 0..cost {
-        acc = mix64(acc);
-    }
-    acc
 }
 
 struct NodeState {
@@ -227,7 +213,6 @@ struct NodeState {
     /// Canonical hash by height; index 0 is genesis.
     canonical: Vec<u64>,
     max_reorg: u64,
-    verify_acc: u64,
     inbox: HashMap<u64, Vec<Envelope>>,
 }
 
@@ -239,11 +224,10 @@ struct RoundCtx<'a> {
     fork_at_ms: Option<u64>,
     adjacency: &'a [Vec<u32>],
     edge_rtt: &'a HashMap<(u32, u32), u64>,
-    cut: &'a HashMap<(u32, u32), u32>,
+    cut: &'a CutSet<(u32, u32)>,
     faults_drop: f64,
     jitter_ms: u64,
     block_gap_ms: f64,
-    verify_cost: u32,
 }
 
 #[derive(Default)]
@@ -262,7 +246,7 @@ struct StepOut {
 
 fn send(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut, dest: u32, msg: MacroMsg) {
     let key = (node.id.min(dest), node.id.max(dest));
-    if ctx.cut.get(&key).copied().unwrap_or(0) > 0 {
+    if ctx.cut.is_cut(&key) {
         out.drops_cut += 1;
         return;
     }
@@ -344,7 +328,6 @@ fn handle_block(
         out.duplicates += 1;
         return;
     }
-    node.verify_acc ^= verify_spin(b.hash, ctx.verify_cost);
     if b.side != 0 && b.side != node.stance {
         out.rejected += 1;
         return;
@@ -437,14 +420,6 @@ fn step_node(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut) {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ChaosChange {
-    PartStart(usize),
-    PartHeal(usize),
-    IsoStart(usize),
-    IsoEnd(usize),
-}
-
 /// Pre/post-fork propagation percentiles (delay from mining round to each
 /// remote import, quantized to rounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -534,9 +509,6 @@ pub struct MacroReport {
     pub pre_fork: PropagationStats,
     /// Post-fork propagation percentiles.
     pub post_fork: PropagationStats,
-    /// XOR of all simulated verification outputs (pins the verify work
-    /// into the report so it cannot be optimized away).
-    pub verify_checksum: u64,
 }
 
 #[derive(Default)]
@@ -579,9 +551,9 @@ pub struct MacroNet {
     nodes: Vec<NodeState>,
     miner_ids: Vec<u32>,
     plan: ChaosPlan,
-    boundaries: Vec<(u64, ChaosChange)>,
+    boundaries: Vec<(u64, CutChange)>,
     next_boundary: usize,
-    cut_count: HashMap<(u32, u32), u32>,
+    cuts: CutSet<(u32, u32)>,
     pending_rounds: BTreeSet<u64>,
     births: HashMap<u64, u64>,
     pre_delays: Vec<u32>,
@@ -595,7 +567,6 @@ pub struct MacroNet {
     fork_at_ms: Option<u64>,
     jitter_ms: u64,
     block_gap_ms: f64,
-    verify_cost: u32,
     spans: Option<MacroSpans>,
 }
 
@@ -682,26 +653,13 @@ impl MacroNet {
                 seen: HashSet::from([genesis.hash]),
                 canonical: vec![genesis.hash],
                 max_reorg: 0,
-                verify_acc: 0,
                 inbox: HashMap::new(),
             });
         }
         let mut miner_ids: Vec<u32> = miner_set.into_iter().map(|i| i as u32).collect();
         miner_ids.sort_unstable();
 
-        let mut boundaries: Vec<(u64, ChaosChange)> = Vec::new();
-        for (idx, p) in config.chaos.partitions.iter().enumerate() {
-            boundaries.push((p.at_ms, ChaosChange::PartStart(idx)));
-            if let Some(heal) = p.heal_at_ms {
-                boundaries.push((heal, ChaosChange::PartHeal(idx)));
-            }
-        }
-        for (idx, iso) in config.chaos.isolations.iter().enumerate() {
-            boundaries.push((iso.at_ms, ChaosChange::IsoStart(idx)));
-            if let Some(rejoin) = iso.rejoin_at_ms {
-                boundaries.push((rejoin, ChaosChange::IsoEnd(idx)));
-            }
-        }
+        let mut boundaries = config.chaos.cut_schedule();
         boundaries.sort_by_key(|&(ms, _)| ms);
 
         Ok(MacroNet {
@@ -711,7 +669,7 @@ impl MacroNet {
             plan: config.chaos,
             boundaries,
             next_boundary: 0,
-            cut_count: HashMap::new(),
+            cuts: CutSet::default(),
             pending_rounds: BTreeSet::new(),
             births: HashMap::new(),
             pre_delays: Vec::new(),
@@ -725,7 +683,6 @@ impl MacroNet {
             fork_at_ms: config.fork_at_secs.map(|s| s * 1_000),
             jitter_ms: config.jitter_ms,
             block_gap_ms,
-            verify_cost: config.verify_cost,
             spans: None,
         })
     }
@@ -760,130 +717,35 @@ impl MacroNet {
         &self.topology
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Deepest reorg any node has performed so far.
-    pub fn max_reorg_depth(&self) -> u64 {
-        self.nodes.iter().map(|n| n.max_reorg).max().unwrap_or(0)
-    }
-
-    /// The chain-agreement census: cluster sizes, descending — the macro
-    /// twin of the micro engine's census. Two nodes share a group when
-    /// they agree on the canonical hash a few blocks below the lower of
-    /// their heads (floored at the fork height once a sided block
-    /// exists).
+    /// The chain-agreement census ([`crate::invariants::partition_census`]).
     pub fn partition_census(&self) -> Vec<usize> {
-        let floor = self.fork_floor.unwrap_or(0);
-        let n = self.nodes.len();
-        let mut group = vec![usize::MAX; n];
-        let mut count = Vec::new();
-        for i in 0..n {
-            if group[i] != usize::MAX {
-                continue;
-            }
-            group[i] = count.len();
-            count.push(1usize);
-            let head_i = self.nodes[i].canonical.len() as u64 - 1;
-            for j in i + 1..n {
-                if group[j] != usize::MAX {
-                    continue;
-                }
-                let m = head_i.min(self.nodes[j].canonical.len() as u64 - 1);
-                let cmp = m.saturating_sub(8).max(floor.min(m)) as usize;
-                if self.nodes[i].canonical.get(cmp) == self.nodes[j].canonical.get(cmp) {
-                    group[j] = group[i];
-                    count[group[i]] += 1;
-                }
-            }
-        }
-        count.sort_unstable_by(|a, b| b.cmp(a));
-        count
+        crate::invariants::partition_census(self)
     }
 
-    fn cut_edge(&mut self, key: (u32, u32)) {
-        let c = self.cut_count.entry(key).or_insert(0);
-        *c += 1;
-        if *c == 1 {
-            self.counters.edges_cut += 1;
-        }
-    }
-
-    fn lift_edge(&mut self, key: (u32, u32)) {
-        if let Some(c) = self.cut_count.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.cut_count.remove(&key);
-                self.counters.edges_restored += 1;
-            }
-        }
-    }
-
-    /// Edges crossing the partition's groups, in deterministic
-    /// (ascending-index) order.
-    fn partition_edges(&self, idx: usize) -> Vec<(u32, u32)> {
-        let mut group_of: HashMap<u32, usize> = HashMap::new();
-        for (g, members) in self.plan.partitions[idx].groups.iter().enumerate() {
-            for &m in members {
-                group_of.insert(m as u32, g);
-            }
-        }
-        let mut edges = Vec::new();
-        for a in 0..self.nodes.len() as u32 {
-            for &b in &self.topology.adjacency[a as usize] {
-                if b <= a {
-                    continue;
-                }
-                if let (Some(&ga), Some(&gb)) = (group_of.get(&a), group_of.get(&b)) {
-                    if ga != gb {
-                        edges.push((a, b));
-                    }
-                }
-            }
-        }
-        edges
-    }
-
-    fn isolation_edges(&self, idx: usize) -> Vec<(u32, u32)> {
-        let node = self.plan.isolations[idx].node as u32;
-        self.topology.adjacency[node as usize]
-            .iter()
-            .map(|&peer| (node.min(peer), node.max(peer)))
-            .collect()
-    }
-
+    /// Applies every cut change due by `round_start_ms` to the plan's pairs
+    /// that are topology edges.
     fn apply_chaos_upto(&mut self, round_start_ms: u64) {
         while self.next_boundary < self.boundaries.len()
             && self.boundaries[self.next_boundary].0 <= round_start_ms
         {
             let (_, change) = self.boundaries[self.next_boundary];
             self.next_boundary += 1;
-            match change {
-                ChaosChange::PartStart(idx) => {
-                    self.counters.partitions_started += 1;
-                    for key in self.partition_edges(idx) {
-                        self.cut_edge(key);
-                    }
+            let c = &mut self.counters;
+            *match change {
+                CutChange::PartitionStarts(_) => &mut c.partitions_started,
+                CutChange::PartitionHeals(_) => &mut c.partitions_healed,
+                CutChange::NodeIsolated(_) => &mut c.isolations,
+                CutChange::NodeRejoins(_) => &mut c.rejoins,
+            } += 1;
+            for (a, b) in self.plan.cut_pairs(change, self.nodes.len()) {
+                let key = (a as u32, b as u32);
+                if !self.topology.edge_rtt_ms.contains_key(&key) {
+                    continue;
                 }
-                ChaosChange::PartHeal(idx) => {
-                    self.counters.partitions_healed += 1;
-                    for key in self.partition_edges(idx) {
-                        self.lift_edge(key);
-                    }
-                }
-                ChaosChange::IsoStart(idx) => {
-                    self.counters.isolations += 1;
-                    for key in self.isolation_edges(idx) {
-                        self.cut_edge(key);
-                    }
-                }
-                ChaosChange::IsoEnd(idx) => {
-                    self.counters.rejoins += 1;
-                    for key in self.isolation_edges(idx) {
-                        self.lift_edge(key);
-                    }
+                if change.lifts() {
+                    c.edges_restored += u64::from(self.cuts.lift(key));
+                } else {
+                    c.edges_cut += u64::from(self.cuts.cut(key));
                 }
             }
         }
@@ -927,11 +789,10 @@ impl MacroNet {
             fork_at_ms: self.fork_at_ms,
             adjacency: &self.topology.adjacency,
             edge_rtt: &self.topology.edge_rtt_ms,
-            cut: &self.cut_count,
+            cut: &self.cuts,
             faults_drop,
             jitter_ms: self.jitter_ms,
             block_gap_ms: self.block_gap_ms,
-            verify_cost: self.verify_cost,
         };
 
         let n_shards = self.n_shards.min(self.nodes.len()).max(1);
@@ -1083,11 +944,7 @@ impl MacroNet {
 
     fn finalize_report(&mut self) -> MacroReport {
         let c = &self.counters;
-        let heads: Vec<u64> = self
-            .nodes
-            .iter()
-            .map(|n| n.canonical.len() as u64 - 1)
-            .collect();
+        let heads: Vec<u64> = (0..self.nodes.len()).map(|i| self.head_number(i)).collect();
         MacroReport {
             n_nodes: self.nodes.len() as u64,
             n_edges: self.topology.edge_count() as u64,
@@ -1117,7 +974,6 @@ impl MacroNet {
             partition_groups: self.partition_census(),
             pre_fork: prop_stats(&mut self.pre_delays),
             post_fork: prop_stats(&mut self.post_delays),
-            verify_checksum: self.nodes.iter().fold(0, |acc, n| acc ^ n.verify_acc),
         }
     }
 
@@ -1160,22 +1016,10 @@ impl MacroNet {
             if delays.is_empty() {
                 continue;
             }
-            // Hand-built histogram (the telemetry crate's log2 bucketing)
-            // so it exports identically with the feature on or off.
+            // A plain-data histogram, so it exports identically with the
+            // feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
-            for &v in delays.iter() {
-                let v = v as u64;
-                h.count += 1;
-                h.sum += v;
-                h.min = if h.count == 1 { v } else { h.min.min(v) };
-                h.max = h.max.max(v);
-                let bucket = if v == 0 {
-                    0
-                } else {
-                    64 - v.leading_zeros() as usize
-                };
-                h.buckets[bucket] += 1;
-            }
+            delays.iter().for_each(|&v| h.record(u64::from(v)));
             snap.histograms.insert(name.into(), h);
         }
         snap.gauges
@@ -1191,6 +1035,30 @@ impl MacroNet {
         snap.gauges
             .insert("macro.topology.miners".into(), self.miner_ids.len() as i64);
         snap
+    }
+}
+
+impl NetView for MacroNet {
+    type Hash = u64;
+
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn head_number(&self, i: usize) -> u64 {
+        self.nodes[i].canonical.len() as u64 - 1
+    }
+
+    fn canonical_hash(&self, i: usize, number: u64) -> Option<u64> {
+        self.nodes[i].canonical.get(number as usize).copied()
+    }
+
+    fn census_floor(&self) -> u64 {
+        self.fork_floor.unwrap_or(0)
+    }
+
+    fn max_reorg_depth(&self) -> u64 {
+        self.nodes.iter().map(|n| n.max_reorg).max().unwrap_or(0)
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`engine`] — the sharded deterministic lock-step engine
 //!   ([`MacroNet`]): per-node forked RNG streams, a scoped thread pool
 //!   with a serial fallback, fixed merge order, and first-class
-//!   [`crate::chaos::ChaosPlan`] partition/isolation/degradation support.
-//!   `parallel == serial` byte-identity holds by construction and is
-//!   locked down by `tests/macro_determinism.rs`.
+//!   [`crate::chaos::ChaosPlan`] partition/isolation/degradation support
+//!   shared with the micro engine. `parallel == serial` byte-identity
+//!   holds by construction and is locked down by
+//!   `tests/macro_determinism.rs`.
 //! * [`presets`] — calibrated scenarios: the two-cluster partition/heal
 //!   acceptance run and the pre/post-fork propagation measurement.
 

@@ -27,9 +27,10 @@ use fork_primitives::{Address, SimTime, H256, U256};
 use fork_telemetry::{FlightDump, TraceEventKind, TraceSink, NO_BLOCK};
 
 use crate::chaos::{
-    ByzantineBehavior, ChaosPlan, RecoveryMode, ResilienceConfig, SCORE_CORRUPT_FRAME,
-    SCORE_INVALID_BLOCK, SCORE_TIMEOUT,
+    ByzantineBehavior, ChaosPlan, CutChange, CutSet, RecoveryMode, ResilienceConfig,
+    SCORE_CORRUPT_FRAME, SCORE_INVALID_BLOCK, SCORE_TIMEOUT,
 };
+use crate::invariants::NetView;
 use crate::rng::SimRng;
 use rand::{Rng as _, RngCore as _};
 
@@ -237,23 +238,8 @@ enum EventKind {
         a: usize,
         b: usize,
     },
-    /// A scripted partition starts: every cross-group edge severs.
-    PartitionStarts {
-        idx: usize,
-    },
-    /// A scripted partition heals: its cuts lift, restoring the edges it
-    /// severed (pairs under an active ban or a failing handshake stay cut).
-    PartitionHeals {
-        idx: usize,
-    },
-    /// A scripted isolation starts: every edge touching the node severs.
-    NodeIsolated {
-        idx: usize,
-    },
-    /// A scripted isolation ends: the node's severed edges restore.
-    NodeRejoins {
-        idx: usize,
-    },
+    /// A scripted partition or isolation starts or ends.
+    Cut(CutChange),
 }
 
 struct Event {
@@ -345,15 +331,15 @@ pub struct MicroNet {
     scores: HashMap<(usize, usize), PeerScore>,
     /// Active partition/isolation cuts per normalized node pair. A pair may
     /// be covered by several overlapping cuts; its edge may only come back
-    /// once the count returns to zero.
-    cut_count: HashMap<(usize, usize), u32>,
+    /// once the last of them lifts.
+    cuts: CutSet<(usize, usize)>,
     /// Pairs whose topology edge the partition layer owes back: the edge
     /// existed when the first cut landed (or its ban expired mid-cut) and
     /// is restored when the last covering cut lifts.
     cut_edges: HashSet<(usize, usize)>,
     /// Pairs severed by a still-active misbehavior ban. A partition heal
     /// must not clear an active ban, and a ban expiry must not resurrect a
-    /// partitioned edge — this set plus `cut_count` arbitrate.
+    /// partitioned edge — this set plus `cuts` arbitrate.
     banned_pairs: HashSet<(usize, usize)>,
     /// Per-node crash recovery in progress: (restart time ms, target head).
     recovering: Vec<Option<(u64, u64)>>,
@@ -464,7 +450,7 @@ impl MicroNet {
             pending: BTreeMap::new(),
             next_req_id: 0,
             scores: HashMap::new(),
-            cut_count: HashMap::new(),
+            cuts: CutSet::default(),
             cut_edges: HashSet::new(),
             banned_pairs: HashSet::new(),
             processed: 0,
@@ -505,29 +491,8 @@ impl MicroNet {
                 );
             }
         }
-        let partition_windows: Vec<(u64, Option<u64>)> = net
-            .chaos
-            .partitions
-            .iter()
-            .map(|p| (p.at_ms, p.heal_at_ms))
-            .collect();
-        for (idx, (at_ms, heal_at_ms)) in partition_windows.into_iter().enumerate() {
-            net.push_event(at_ms, EventKind::PartitionStarts { idx });
-            if let Some(heal) = heal_at_ms {
-                net.push_event(heal, EventKind::PartitionHeals { idx });
-            }
-        }
-        let isolation_windows: Vec<(u64, Option<u64>)> = net
-            .chaos
-            .isolations
-            .iter()
-            .map(|i| (i.at_ms, i.rejoin_at_ms))
-            .collect();
-        for (idx, (at_ms, rejoin_at_ms)) in isolation_windows.into_iter().enumerate() {
-            net.push_event(at_ms, EventKind::NodeIsolated { idx });
-            if let Some(rejoin) = rejoin_at_ms {
-                net.push_event(rejoin, EventKind::NodeRejoins { idx });
-            }
+        for (at_ms, change) in net.chaos.cut_schedule() {
+            net.push_event(at_ms, EventKind::Cut(change));
         }
         net
     }
@@ -683,15 +648,7 @@ impl MicroNet {
         for p in peers {
             let j = self.id_index[&p];
             if !self.handshake_compatible(i, j) {
-                // Sever both directions.
-                let mut t = std::mem::take(&mut self.topology);
-                if let Some(adj) = t.adjacency.get_mut(&my_id) {
-                    adj.retain(|x| *x != p);
-                }
-                if let Some(adj) = t.adjacency.get_mut(&p) {
-                    adj.retain(|x| *x != my_id);
-                }
-                self.topology = t;
+                self.sever_edge(i, j);
                 self.report.handshake_drops += 1;
             }
         }
@@ -709,36 +666,21 @@ impl MicroNet {
     /// Returns whether an edge existed.
     fn sever_edge(&mut self, i: usize, j: usize) -> bool {
         let (a, b) = (self.nodes[i].id, self.nodes[j].id);
-        let mut t = std::mem::take(&mut self.topology);
         let mut existed = false;
-        if let Some(adj) = t.adjacency.get_mut(&a) {
-            let before = adj.len();
-            adj.retain(|x| *x != b);
-            existed |= adj.len() != before;
+        for (from, to) in [(a, b), (b, a)] {
+            if let Some(adj) = self.topology.adjacency.get_mut(&from) {
+                let before = adj.len();
+                adj.retain(|x| *x != to);
+                existed |= adj.len() != before;
+            }
         }
-        if let Some(adj) = t.adjacency.get_mut(&b) {
-            let before = adj.len();
-            adj.retain(|x| *x != a);
-            existed |= adj.len() != before;
-        }
-        self.topology = t;
         existed
     }
 
     /// Re-adds the edge between `i` and `j` (both directions, no
     /// duplicates).
     fn restore_edge(&mut self, i: usize, j: usize) {
-        let (a, b) = (self.nodes[i].id, self.nodes[j].id);
-        let mut t = std::mem::take(&mut self.topology);
-        let adj_a = t.adjacency.entry(a).or_default();
-        if !adj_a.contains(&b) {
-            adj_a.push(b);
-        }
-        let adj_b = t.adjacency.entry(b).or_default();
-        if !adj_b.contains(&a) {
-            adj_b.push(a);
-        }
-        self.topology = t;
+        self.topology.connect(self.nodes[i].id, self.nodes[j].id);
     }
 
     /// Normalized key for per-pair edge bookkeeping.
@@ -746,75 +688,63 @@ impl MicroNet {
         (a.min(b), a.max(b))
     }
 
-    /// Every cross-group node pair of partition `idx`, in plan order. The
-    /// order is deterministic on purpose: heals restore edges in it, and
-    /// adjacency-list order shapes gossip fan-out.
-    fn partition_pairs(&self, idx: usize) -> Vec<(usize, usize)> {
-        let groups = &self.chaos.partitions[idx].groups;
-        let mut pairs = Vec::new();
-        for (gi, ga) in groups.iter().enumerate() {
-            for gb in groups.iter().skip(gi + 1) {
-                for &a in ga {
-                    for &b in gb {
-                        pairs.push(Self::pair_key(a, b));
-                    }
-                }
-            }
-        }
-        pairs
-    }
-
-    /// Every node pair touching the target of isolation `idx`.
-    fn isolation_pairs(&self, idx: usize) -> Vec<(usize, usize)> {
-        let node = self.chaos.isolations[idx].node;
-        (0..self.nodes.len())
-            .filter(|&j| j != node)
-            .map(|j| Self::pair_key(node, j))
-            .collect()
-    }
-
-    /// Applies partition/isolation cuts: bumps each pair's cut count and
-    /// severs the edge when this is the first covering cut. Pairs with no
-    /// edge (never peers, handshake-dropped, or ban-severed) are still
-    /// counted — the count is what stops a later ban expiry from
-    /// resurrecting a partitioned pair.
-    fn apply_cuts(&mut self, pairs: &[(usize, usize)]) {
-        for &(a, b) in pairs {
-            let c = self.cut_count.entry((a, b)).or_insert(0);
-            *c += 1;
-            if *c == 1 && self.sever_edge(a, b) {
-                self.cut_edges.insert((a, b));
-                self.report.partition_edges_cut += 1;
-            }
+    /// Adds a partition/isolation cut over the pair `(a, b)` and severs its
+    /// edge when this is the first covering cut. Pairs with no edge (never
+    /// peers, handshake-dropped, or ban-severed) are still counted — the
+    /// count is what stops a later ban expiry from resurrecting a
+    /// partitioned pair.
+    fn cut_pair(&mut self, (a, b): (usize, usize)) {
+        if self.cuts.cut((a, b)) && self.sever_edge(a, b) {
+            self.cut_edges.insert((a, b));
+            self.report.partition_edges_cut += 1;
         }
     }
 
-    /// Lifts partition/isolation cuts: decrements counts and, for pairs no
-    /// longer covered by any cut, restores the edges the partition layer
-    /// severed — unless an active ban holds the pair apart (a heal must not
-    /// clear an active ban; `BanExpires` will restore it later) or the pair
-    /// no longer passes the handshake (cross-fork pairs stay cut).
-    fn lift_cuts(&mut self, pairs: &[(usize, usize)]) {
-        for &(a, b) in pairs {
-            let Some(c) = self.cut_count.get_mut(&(a, b)) else {
-                continue;
-            };
-            *c -= 1;
-            if *c > 0 {
-                continue;
-            }
-            self.cut_count.remove(&(a, b));
-            if !self.cut_edges.remove(&(a, b)) {
-                continue; // the cut never severed an edge here
-            }
-            if self.banned_pairs.contains(&(a, b)) {
-                continue;
-            }
-            if self.handshake_compatible(a, b) {
-                self.restore_edge(a, b);
-                self.report.partition_edges_restored += 1;
+    /// Lifts one cut over `(a, b)`. When no cut covers the pair any more,
+    /// the edge the partition layer severed comes back — unless an active
+    /// ban holds the pair apart (a heal must not clear an active ban;
+    /// `BanExpires` will restore it later) or the pair no longer passes the
+    /// handshake (cross-fork pairs stay cut).
+    fn lift_pair(&mut self, (a, b): (usize, usize)) {
+        if self.cuts.lift((a, b))
+            && self.cut_edges.remove(&(a, b))
+            && !self.banned_pairs.contains(&(a, b))
+            && self.handshake_compatible(a, b)
+        {
+            self.restore_edge(a, b);
+            self.report.partition_edges_restored += 1;
+        }
+    }
+
+    /// Applies one scripted cut change, counts it, and stamps it into the
+    /// trace at the node it concerns (a partition's first member).
+    fn on_cut(&mut self, change: CutChange) {
+        for pair in self.chaos.cut_pairs(change, self.nodes.len()) {
+            if change.lifts() {
+                self.lift_pair(pair);
+            } else {
+                self.cut_pair(pair);
             }
         }
+        // A valid plan's partition has at least two groups.
+        let lead = |idx: usize| *self.chaos.partitions[idx].groups[0].first().unwrap_or(&0);
+        let node = |idx: usize| self.chaos.isolations[idx].node;
+        let r = &mut self.report;
+        let (tally, label, witness) = match change {
+            CutChange::PartitionStarts(i) => (&mut r.partitions_started, "partition", lead(i)),
+            CutChange::PartitionHeals(i) => (&mut r.partitions_healed, "partition_heal", lead(i)),
+            CutChange::NodeIsolated(i) => (&mut r.isolations, "isolation", node(i)),
+            CutChange::NodeRejoins(i) => (&mut r.rejoins, "rejoin", node(i)),
+        };
+        *tally += 1;
+        self.tracer.record_full(
+            witness as u32,
+            NO_BLOCK,
+            0,
+            TraceEventKind::FaultInjected,
+            None,
+            label,
+        );
     }
 
     /// A misbehavior ban expired: the edge heals — permanent graph damage
@@ -824,7 +754,7 @@ impl MicroNet {
     fn on_ban_expires(&mut self, a: usize, b: usize) {
         let key = Self::pair_key(a, b);
         self.banned_pairs.remove(&key);
-        if self.cut_count.contains_key(&key) {
+        if self.cuts.is_cut(&key) {
             self.cut_edges.insert(key);
         } else if self.handshake_compatible(a, b) {
             self.restore_edge(a, b);
@@ -1537,71 +1467,8 @@ impl MicroNet {
                 EventKind::BanExpires { a, b } => {
                     self.on_ban_expires(a, b);
                 }
-                EventKind::PartitionStarts { idx } => {
-                    let pairs = self.partition_pairs(idx);
-                    self.apply_cuts(&pairs);
-                    self.report.partitions_started += 1;
-                    let witness = self.chaos.partitions[idx]
-                        .groups
-                        .first()
-                        .and_then(|g| g.first())
-                        .copied()
-                        .unwrap_or(0);
-                    self.tracer.record_full(
-                        witness as u32,
-                        NO_BLOCK,
-                        0,
-                        TraceEventKind::FaultInjected,
-                        None,
-                        "partition",
-                    );
-                }
-                EventKind::PartitionHeals { idx } => {
-                    let pairs = self.partition_pairs(idx);
-                    self.lift_cuts(&pairs);
-                    self.report.partitions_healed += 1;
-                    let witness = self.chaos.partitions[idx]
-                        .groups
-                        .first()
-                        .and_then(|g| g.first())
-                        .copied()
-                        .unwrap_or(0);
-                    self.tracer.record_full(
-                        witness as u32,
-                        NO_BLOCK,
-                        0,
-                        TraceEventKind::FaultInjected,
-                        None,
-                        "partition_heal",
-                    );
-                }
-                EventKind::NodeIsolated { idx } => {
-                    let pairs = self.isolation_pairs(idx);
-                    self.apply_cuts(&pairs);
-                    self.report.isolations += 1;
-                    let node = self.chaos.isolations[idx].node;
-                    self.tracer.record_full(
-                        node as u32,
-                        NO_BLOCK,
-                        0,
-                        TraceEventKind::FaultInjected,
-                        None,
-                        "isolation",
-                    );
-                }
-                EventKind::NodeRejoins { idx } => {
-                    let pairs = self.isolation_pairs(idx);
-                    self.lift_cuts(&pairs);
-                    self.report.rejoins += 1;
-                    let node = self.chaos.isolations[idx].node;
-                    self.tracer.record_full(
-                        node as u32,
-                        NO_BLOCK,
-                        0,
-                        TraceEventKind::FaultInjected,
-                        None,
-                        "rejoin",
-                    );
+                EventKind::Cut(change) => {
+                    self.on_cut(change);
                 }
             }
         }
@@ -1622,43 +1489,9 @@ impl MicroNet {
         self.report.clone()
     }
 
-    /// The chain-agreement census: cluster sizes, descending. Two nodes
-    /// share a group when both still retain a common canonical height — a
-    /// few blocks below the lower of their heads, so an ordinary tip race
-    /// doesn't read as a partition — and hold the same hash there. With a
-    /// fork configured the comparison height never drops below the fork
-    /// height (above which the sides differ at every block; keying on the
-    /// fork-height hash directly breaks on long runs, because the fork
-    /// block leaves every store's retention window). One group = a
-    /// connected, agreeing network. Callable mid-run: the heal-convergence
-    /// invariants sample it window by window.
+    /// The chain-agreement census ([`crate::invariants::partition_census`]).
     pub fn partition_census(&self) -> Vec<usize> {
-        let floor = self.fork_height.unwrap_or(0);
-        let n = self.nodes.len();
-        let mut group = vec![usize::MAX; n];
-        let mut count = Vec::new();
-        for i in 0..n {
-            if group[i] != usize::MAX {
-                continue;
-            }
-            group[i] = count.len();
-            count.push(1usize);
-            let head_i = self.nodes[i].store.head_number();
-            for j in i + 1..n {
-                if group[j] != usize::MAX {
-                    continue;
-                }
-                let m = head_i.min(self.nodes[j].store.head_number());
-                let cmp = m.saturating_sub(8).max(floor.min(m));
-                let a = self.nodes[i].store.canonical_hash(cmp);
-                if a.is_some() && a == self.nodes[j].store.canonical_hash(cmp) {
-                    group[j] = group[i];
-                    count[group[i]] += 1;
-                }
-            }
-        }
-        count.sort_unstable_by(|a, b| b.cmp(a));
-        count
+        crate::invariants::partition_census(self)
     }
 
     /// A node's store (inspection).
@@ -1748,22 +1581,10 @@ impl MicroNet {
             }
         }
         if !r.recovery_ms.is_empty() {
-            // Hand-built histogram (same log2 bucketing as the telemetry
-            // crate) so recovery times export identically with the
-            // `telemetry` feature on or off.
+            // A plain-data histogram, so recovery times export identically
+            // with the `telemetry` feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
-            for &v in &r.recovery_ms {
-                h.count += 1;
-                h.sum += v;
-                h.min = if h.count == 1 { v } else { h.min.min(v) };
-                h.max = h.max.max(v);
-                let bucket = if v == 0 {
-                    0
-                } else {
-                    64 - v.leading_zeros() as usize
-                };
-                h.buckets[bucket] += 1;
-            }
+            r.recovery_ms.iter().for_each(|&v| h.record(v));
             snap.histograms.insert("micro.chaos.recovery_ms".into(), h);
         }
         snap.gauges
@@ -1776,11 +1597,6 @@ impl MicroNet {
         self.nodes[i].orphans.values().map(Vec::len).sum()
     }
 
-    /// Number of nodes in the network.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Whether node `i` is currently online.
     pub fn is_online(&self, i: usize) -> bool {
         self.nodes[i].online
@@ -1789,12 +1605,6 @@ impl MicroNet {
     /// The configured fork height, when running a fork-split assignment.
     pub fn fork_height(&self) -> Option<u64> {
         self.fork_height
-    }
-
-    /// Deepest reorg observed so far (canonical blocks rolled back by one
-    /// import).
-    pub fn max_reorg_depth(&self) -> u64 {
-        self.report.max_reorg_depth
     }
 
     /// Whether a topology edge currently links nodes `i` and `j`.
@@ -1827,6 +1637,30 @@ impl MicroNet {
     /// A node's requested-hashes dedup filter (inspection).
     pub fn requested_filter(&self, i: usize) -> &SeenFilter<H256> {
         &self.nodes[i].requested
+    }
+}
+
+impl NetView for MicroNet {
+    type Hash = H256;
+
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn head_number(&self, i: usize) -> u64 {
+        self.nodes[i].store.head_number()
+    }
+
+    fn canonical_hash(&self, i: usize, number: u64) -> Option<H256> {
+        self.nodes[i].store.canonical_hash(number)
+    }
+
+    fn census_floor(&self) -> u64 {
+        self.fork_height.unwrap_or(0)
+    }
+
+    fn max_reorg_depth(&self) -> u64 {
+        self.report.max_reorg_depth
     }
 }
 
@@ -2409,8 +2243,8 @@ mod tests {
         net.penalize(a, b, 1_000);
         assert!(!net.are_connected(a, b), "ban severs");
         let key = MicroNet::pair_key(a, b);
-        net.apply_cuts(&[key]);
-        net.lift_cuts(&[key]);
+        net.cut_pair(key);
+        net.lift_pair(key);
         assert!(
             !net.are_connected(a, b),
             "heal must not clear an active ban"
@@ -2421,26 +2255,26 @@ mod tests {
         // Case 2: ban expires while the pair is still partitioned — the
         // edge stays severed until the heal gives it back.
         net.penalize(a, b, 1_000);
-        net.apply_cuts(&[key]);
+        net.cut_pair(key);
         net.on_ban_expires(a, b);
         assert!(
             !net.are_connected(a, b),
             "expiry must not resurrect a partitioned edge"
         );
-        net.lift_cuts(&[key]);
+        net.lift_pair(key);
         assert!(net.are_connected(a, b), "the heal owes the edge back");
 
         // Case 3: partition first — a ban then has nothing to sever, and
         // the heal still restores the edge.
         let key_cd = MicroNet::pair_key(c, d);
-        net.apply_cuts(&[key_cd]);
+        net.cut_pair(key_cd);
         assert!(!net.are_connected(c, d));
         let bans_before = net.report.peer_bans;
         net.penalize(c, d, 1_000);
         assert_eq!(net.report.peer_bans, bans_before, "no edge, no ban");
         net.on_ban_expires(c, d);
         assert!(!net.are_connected(c, d), "stray expiry resurrects nothing");
-        net.lift_cuts(&[key_cd]);
+        net.lift_pair(key_cd);
         assert!(net.are_connected(c, d));
     }
 

@@ -18,8 +18,7 @@
 //! same seed, duration and plan.
 
 use stick_a_fork::sim::invariants::{
-    check_heal_convergence, check_macro_heal_convergence, check_macro_reorg_depth,
-    check_reorg_depth, InvariantViolation,
+    check_heal_convergence, check_reorg_depth, InvariantViolation,
 };
 use stick_a_fork::sim::macroscale::{GeoCluster, MacroConfig, MacroNet, TopologyGenConfig};
 use stick_a_fork::sim::micro::{MicroConfig, MicroNet};
@@ -91,8 +90,7 @@ fn isolated_node_rejoins_the_longest_chain_on_both_engines() {
         assert_eq!(micro.partition_census(), vec![3], "micro seed {seed}");
         assert_eq!(macro_net.partition_census(), vec![3], "macro seed {seed}");
         check_reorg_depth(&micro, bound).unwrap_or_else(|v| panic!("micro seed {seed}: {v}"));
-        check_macro_reorg_depth(&macro_net, bound)
-            .unwrap_or_else(|v| panic!("macro seed {seed}: {v}"));
+        check_reorg_depth(&macro_net, bound).unwrap_or_else(|v| panic!("macro seed {seed}: {v}"));
     }
 }
 
@@ -108,11 +106,11 @@ fn healed_atlas_plans_pass_the_same_checks_on_both_engines() {
             );
             check_heal_convergence(&micro, groups)
                 .unwrap_or_else(|v| panic!("{name} micro seed {seed}: {v}"));
-            check_macro_heal_convergence(&macro_net, groups)
+            check_heal_convergence(&macro_net, groups)
                 .unwrap_or_else(|v| panic!("{name} macro seed {seed}: {v}"));
             check_reorg_depth(&micro, bound)
                 .unwrap_or_else(|v| panic!("{name} micro seed {seed}: {v}"));
-            check_macro_reorg_depth(&macro_net, bound)
+            check_reorg_depth(&macro_net, bound)
                 .unwrap_or_else(|v| panic!("{name} macro seed {seed}: {v}"));
         }
     }
@@ -130,7 +128,7 @@ fn never_healed_plan_fails_convergence_on_both_engines() {
             ),
             (
                 "macro",
-                check_macro_heal_convergence(&macro_net, control.expected_groups),
+                check_heal_convergence(&macro_net, control.expected_groups),
             ),
         ] {
             match verdict {

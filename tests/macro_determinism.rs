@@ -11,7 +11,7 @@
 use stick_a_fork::sim::macroscale::{
     macro_partition, MacroConfig, MacroError, MacroNet, TopologyGenConfig,
 };
-use stick_a_fork::sim::{check_macro_heal_convergence, check_macro_reorg_depth, ChaosPlan};
+use stick_a_fork::sim::{check_heal_convergence, check_reorg_depth, ChaosPlan};
 use stick_a_fork::telemetry::TimingMode;
 
 fn with_shards(mut config: MacroConfig, n_shards: usize) -> MacroConfig {
@@ -82,9 +82,9 @@ fn thousand_node_partition_heal_is_deterministic_and_convergent() {
         assert_eq!(sharded.partitions_healed, 1);
         assert!(sharded.edges_cut > 0, "the partition cut real edges");
         assert_eq!(sharded.edges_cut, sharded.edges_restored);
-        check_macro_heal_convergence(&sharded_net, preset.expected_groups)
+        check_heal_convergence(&sharded_net, preset.expected_groups)
             .expect("heal must reconverge the macro census");
-        check_macro_reorg_depth(&sharded_net, preset.reorg_depth_bound)
+        check_reorg_depth(&sharded_net, preset.reorg_depth_bound)
             .expect("reorg bounded by partition duration");
         assert!(
             sharded.max_reorg_depth > 0,
