@@ -539,11 +539,13 @@ impl MicroNet {
         self.nodes[i].store = synced;
         self.nodes[i].epoch += 1;
         // Buffered orphans are retried against the new store (most land as
-        // AlreadyKnown; stragglers extend it).
-        let orphans: Vec<Block> = std::mem::take(&mut self.nodes[i].orphans)
+        // AlreadyKnown; stragglers extend it), lowest first: the pool's
+        // hash-map order differs from process to process.
+        let mut orphans: Vec<Block> = std::mem::take(&mut self.nodes[i].orphans)
             .into_values()
             .flatten()
             .collect();
+        orphans.sort_by_cached_key(|b| (b.header.number, b.hash()));
         for b in orphans {
             self.process_block(i, b, None);
         }
@@ -2313,6 +2315,18 @@ mod tests {
             "{:?}",
             report.partition_groups
         );
+    }
+
+    #[test]
+    fn chaos_runs_repeat_exactly() {
+        // Crash recovery snap-syncs and replays the orphan pool. Every map
+        // gets its own hash seed, so an unsorted replay made the same
+        // configuration land on different propagation means.
+        let config = crate::scenario::chaos_scenario(2).config;
+        let first = MicroNet::new(config.clone()).run();
+        for _ in 0..3 {
+            assert_eq!(MicroNet::new(config.clone()).run(), first);
+        }
     }
 
     #[test]
