@@ -475,7 +475,6 @@ impl ChaosPlan {
     /// edge or not, in plan order: heals restore edges in this order, and
     /// adjacency-list order shapes gossip fan-out.
     pub fn cut_pairs(&self, change: CutChange, n_nodes: usize) -> Vec<(usize, usize)> {
-        let pair = |a: usize, b: usize| (a.min(b), a.max(b));
         match change {
             CutChange::PartitionStarts(idx) | CutChange::PartitionHeals(idx) => {
                 let groups = &self.partitions[idx].groups;
@@ -483,7 +482,7 @@ impl ChaosPlan {
                 for (gi, ga) in groups.iter().enumerate() {
                     for gb in &groups[gi + 1..] {
                         for &a in ga {
-                            pairs.extend(gb.iter().map(|&b| pair(a, b)));
+                            pairs.extend(gb.iter().map(|&b| pair_key(a, b)));
                         }
                     }
                 }
@@ -493,11 +492,16 @@ impl ChaosPlan {
                 let node = self.isolations[idx].node;
                 (0..n_nodes)
                     .filter(|&j| j != node)
-                    .map(|j| pair(node, j))
+                    .map(|j| pair_key(node, j))
                     .collect()
             }
         }
     }
+}
+
+/// The normalized `(lo, hi)` key of an undirected node pair.
+pub fn pair_key<T: Ord + Copy>(a: T, b: T) -> (T, T) {
+    (a.min(b), a.max(b))
 }
 
 /// The node pairs currently cut, as a multiset: a pair under overlapping

@@ -30,13 +30,13 @@
 //! already in flight when an edge is cut still deliver (they left the wire
 //! before the cut), mirroring the micro engine's semantics.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use fork_telemetry::{Counter, MetricsRegistry, SpanStats};
 use rand::Rng;
 
-use crate::chaos::{ChaosPlan, ChaosPlanError, CutChange, CutSet};
+use crate::chaos::{pair_key, ChaosPlan, ChaosPlanError, CutChange, CutSet};
 use crate::invariants::NetView;
 use crate::meso::ProgressEvent;
 use crate::rng::SimRng;
@@ -245,7 +245,7 @@ struct StepOut {
 }
 
 fn send(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut, dest: u32, msg: MacroMsg) {
-    let key = (node.id.min(dest), node.id.max(dest));
+    let key = pair_key(node.id, dest);
     if ctx.cut.is_cut(&key) {
         out.drops_cut += 1;
         return;
@@ -551,8 +551,7 @@ pub struct MacroNet {
     nodes: Vec<NodeState>,
     miner_ids: Vec<u32>,
     plan: ChaosPlan,
-    boundaries: Vec<(u64, CutChange)>,
-    next_boundary: usize,
+    boundaries: VecDeque<(u64, CutChange)>,
     cuts: CutSet<(u32, u32)>,
     pending_rounds: BTreeSet<u64>,
     births: HashMap<u64, u64>,
@@ -667,8 +666,7 @@ impl MacroNet {
             nodes,
             miner_ids,
             plan: config.chaos,
-            boundaries,
-            next_boundary: 0,
+            boundaries: boundaries.into(),
             cuts: CutSet::default(),
             pending_rounds: BTreeSet::new(),
             births: HashMap::new(),
@@ -725,11 +723,11 @@ impl MacroNet {
     /// Applies every cut change due by `round_start_ms` to the plan's pairs
     /// that are topology edges.
     fn apply_chaos_upto(&mut self, round_start_ms: u64) {
-        while self.next_boundary < self.boundaries.len()
-            && self.boundaries[self.next_boundary].0 <= round_start_ms
-        {
-            let (_, change) = self.boundaries[self.next_boundary];
-            self.next_boundary += 1;
+        while let Some(&(at_ms, change)) = self.boundaries.front() {
+            if at_ms > round_start_ms {
+                break;
+            }
+            self.boundaries.pop_front();
             let c = &mut self.counters;
             *match change {
                 CutChange::PartitionStarts(_) => &mut c.partitions_started,
@@ -768,8 +766,8 @@ impl MacroNet {
                 cand(t);
             }
         }
-        if self.next_boundary < self.boundaries.len() {
-            cand(self.boundaries[self.next_boundary].0);
+        if let Some(&(at_ms, _)) = self.boundaries.front() {
+            cand(at_ms);
         }
         wake.map(|w| w.max(self.now_ms))
     }
@@ -1019,7 +1017,9 @@ impl MacroNet {
             // A plain-data histogram, so it exports identically with the
             // feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
-            delays.iter().for_each(|&v| h.record(u64::from(v)));
+            for &v in delays.iter() {
+                h.record(u64::from(v));
+            }
             snap.histograms.insert(name.into(), h);
         }
         snap.gauges

@@ -27,7 +27,7 @@ use fork_primitives::{Address, SimTime, H256, U256};
 use fork_telemetry::{FlightDump, TraceEventKind, TraceSink, NO_BLOCK};
 
 use crate::chaos::{
-    ByzantineBehavior, ChaosPlan, CutChange, CutSet, RecoveryMode, ResilienceConfig,
+    pair_key, ByzantineBehavior, ChaosPlan, CutChange, CutSet, RecoveryMode, ResilienceConfig,
     SCORE_CORRUPT_FRAME, SCORE_INVALID_BLOCK, SCORE_TIMEOUT,
 };
 use crate::invariants::NetView;
@@ -539,8 +539,7 @@ impl MicroNet {
         self.nodes[i].store = synced;
         self.nodes[i].epoch += 1;
         // Buffered orphans are retried against the new store (most land as
-        // AlreadyKnown; stragglers extend it), lowest first: the pool's
-        // hash-map order differs from process to process.
+        // AlreadyKnown; stragglers extend it) lowest first, not in map order.
         let mut orphans: Vec<Block> = std::mem::take(&mut self.nodes[i].orphans)
             .into_values()
             .flatten()
@@ -685,11 +684,6 @@ impl MicroNet {
         self.topology.connect(self.nodes[i].id, self.nodes[j].id);
     }
 
-    /// Normalized key for per-pair edge bookkeeping.
-    fn pair_key(a: usize, b: usize) -> (usize, usize) {
-        (a.min(b), a.max(b))
-    }
-
     /// Adds a partition/isolation cut over the pair `(a, b)` and severs its
     /// edge when this is the first covering cut. Pairs with no edge (never
     /// peers, handshake-dropped, or ban-severed) are still counted — the
@@ -754,7 +748,7 @@ impl MicroNet {
     /// covers the pair (the edge becomes the partition's to give back at
     /// heal time) or the pair no longer passes a fresh handshake.
     fn on_ban_expires(&mut self, a: usize, b: usize) {
-        let key = Self::pair_key(a, b);
+        let key = pair_key(a, b);
         self.banned_pairs.remove(&key);
         if self.cuts.is_cut(&key) {
             self.cut_edges.insert(key);
@@ -780,7 +774,7 @@ impl MicroNet {
             self.scores.remove(&(observer, peer));
             if self.sever_edge(observer, peer) {
                 self.report.peer_bans += 1;
-                self.banned_pairs.insert(Self::pair_key(observer, peer));
+                self.banned_pairs.insert(pair_key(observer, peer));
                 self.push_event(
                     self.now_ms + self.resilience.ban_secs * 1_000,
                     EventKind::BanExpires {
@@ -1586,7 +1580,9 @@ impl MicroNet {
             // A plain-data histogram, so recovery times export identically
             // with the `telemetry` feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
-            r.recovery_ms.iter().for_each(|&v| h.record(v));
+            for &v in &r.recovery_ms {
+                h.record(v);
+            }
             snap.histograms.insert("micro.chaos.recovery_ms".into(), h);
         }
         snap.gauges
@@ -2244,7 +2240,7 @@ mod tests {
         // heal must not restore; the later expiry must.
         net.penalize(a, b, 1_000);
         assert!(!net.are_connected(a, b), "ban severs");
-        let key = MicroNet::pair_key(a, b);
+        let key = pair_key(a, b);
         net.cut_pair(key);
         net.lift_pair(key);
         assert!(
@@ -2268,7 +2264,7 @@ mod tests {
 
         // Case 3: partition first — a ban then has nothing to sever, and
         // the heal still restores the edge.
-        let key_cd = MicroNet::pair_key(c, d);
+        let key_cd = pair_key(c, d);
         net.cut_pair(key_cd);
         assert!(!net.are_connected(c, d));
         let bans_before = net.report.peer_bans;
