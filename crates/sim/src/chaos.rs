@@ -11,7 +11,7 @@
 //! [`ChaosPlan::NONE`] adds zero events and zero RNG draws, leaving the
 //! clean figures byte-identical.
 //! Both engines run partitions through the same three pieces:
-//! [`ChaosPlan::cut_schedule`], [`ChaosPlan::cut_pairs`] and [`CutSet`].
+//! [`ChaosPlan::cut_schedule`], [`ChaosPlan::cut_pairs`] and `CutSet`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -500,14 +500,14 @@ impl ChaosPlan {
 }
 
 /// The normalized `(lo, hi)` key of an undirected node pair.
-pub fn pair_key<T: Ord + Copy>(a: T, b: T) -> (T, T) {
+pub(crate) fn pair_key<T: Ord + Copy>(a: T, b: T) -> (T, T) {
     (a.min(b), a.max(b))
 }
 
 /// The node pairs currently cut, as a multiset: a pair under overlapping
 /// cuts stays cut until the last of them lifts.
 #[derive(Debug, Clone, Default)]
-pub struct CutSet<K> {
+pub(crate) struct CutSet<K> {
     count: HashMap<K, u32>,
 }
 
@@ -523,7 +523,10 @@ impl<K: Hash + Eq> CutSet<K> {
     /// a pair that is not cut does nothing.
     pub fn lift(&mut self, pair: K) -> bool {
         match self.count.get_mut(&pair) {
-            Some(1) => self.count.remove(&pair).is_some(),
+            Some(1) => {
+                self.count.remove(&pair);
+                true
+            }
             Some(c) => {
                 *c -= 1;
                 false

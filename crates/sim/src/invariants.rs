@@ -509,7 +509,7 @@ pub trait NetView {
 /// blocks past a split agrees with *both* sides at the comparison height and
 /// joins whichever group reaches it first, so a never-healed two-way split
 /// can read `[9, 7]` or `[8, 7, 1]` as well as `[8, 8]`.
-pub fn partition_census<N: NetView + ?Sized>(net: &N) -> Vec<usize> {
+pub fn partition_census<N: NetView>(net: &N) -> Vec<usize> {
     let floor = net.census_floor();
     let n = net.node_count();
     let mut group = vec![usize::MAX; n];
@@ -547,7 +547,7 @@ pub fn partition_census<N: NetView + ?Sized>(net: &N) -> Vec<usize> {
 /// window by the atlas harness rather than folded into
 /// [`check_invariants`]. A deliberately never-healed partition fails this
 /// check: that is the atlas's negative control.
-pub fn check_heal_convergence<N: NetView + ?Sized>(
+pub fn check_heal_convergence<N: NetView>(
     net: &N,
     expected_groups: usize,
 ) -> Result<(), InvariantViolation> {
@@ -566,10 +566,7 @@ pub fn check_heal_convergence<N: NetView + ?Sized>(
 /// side mined while split, so `bound` is derived from the longest partition
 /// duration (plus a transient-fork margin — the caller owns the scaling;
 /// atlas presets use `2 × duration / target_block_time + 8`).
-pub fn check_reorg_depth<N: NetView + ?Sized>(
-    net: &N,
-    bound: u64,
-) -> Result<(), InvariantViolation> {
+pub fn check_reorg_depth<N: NetView>(net: &N, bound: u64) -> Result<(), InvariantViolation> {
     let depth = net.max_reorg_depth();
     if depth > bound {
         return Err(InvariantViolation::ReorgDepthExceeded { depth, bound });

@@ -22,7 +22,7 @@
 //! construction*, and the determinism suite locks it down across shard
 //! counts.
 //!
-//! Chaos integration: [`ChaosPlan`] cut changes update a [`CutSet`] of
+//! Chaos integration: [`ChaosPlan`] cut changes update a `CutSet` of
 //! topology edges at round boundaries (in the serial phase), degradation
 //! windows apply their drop chance per send from the *sender's* stream, and
 //! the plan is validated against the generated topology's node count up
