@@ -10,10 +10,21 @@
 //! [len: u32 LE][crc: 4 bytes][payload: len bytes]
 //! ```
 //!
-//! `crc` is the first [`CHECKSUM_LEN`] bytes of the Keccak-256 digest of the
-//! payload — the same truncated-keccak integrity scheme as the net layer's
-//! `seal_frame`. Payloads are per-segment-[`Codec`] record encodings (no
-//! RLP: records are flat rows):
+//! `crc` covers the payload. Which function computes it is a property of
+//! the segment's superblock version ([`Superblock::frame_checksum`]):
+//!
+//! - v3 segments (everything this build writes) use [`checksum`]: CRC32C
+//!   (Castagnoli), stored little-endian. It catches every single-bit flip
+//!   and every burst of up to 32 bits, at several times Keccak's speed.
+//! - v1/v2 segments use [`keccak_checksum`]: the first [`CHECKSUM_LEN`]
+//!   bytes of the payload's Keccak-256 digest, the same truncated-keccak
+//!   scheme as the net layer's `seal_frame`.
+//!
+//! The superblock's own checksum is [`keccak_checksum`] in every version:
+//! the version byte is only trusted once that check has passed.
+//!
+//! Payloads are per-segment-[`Codec`] record encodings (no RLP: records are
+//! flat rows):
 //!
 //! - [`Codec::Raw`] (format v1's only layout) is fixed-layout little-endian,
 //!   which lets the open-time scan read a short prefix per frame to build
@@ -29,7 +40,9 @@
 //!
 //! Version-2 superblocks carry the codec byte and `base_time`; version-1
 //! segments (all zeroes in those slots) still decode as `Raw`, so archives
-//! written before the bump keep opening.
+//! written before the bump keep opening. Version 3 changes only the frame
+//! checksum, so frame lengths and segment sizes are the same in every
+//! version.
 //!
 //! Every record carries a **global sequence number**, monotonically
 //! increasing across *both* sides. The analytics pipeline's echo detector is
@@ -45,19 +58,23 @@ use fork_replay::Side;
 /// Segment-file magic ("Fork ARCHive SeGment v1").
 pub const MAGIC: [u8; 8] = *b"FARCHSG1";
 
-/// Format version stamped into every superblock.
-pub const VERSION: u16 = 2;
+/// Format version stamped into every superblock this build writes.
+pub const VERSION: u16 = 3;
 
 /// Oldest superblock version this build still reads.
 pub const MIN_VERSION: u16 = 1;
 
+/// First version whose frames carry a CRC32C [`checksum`] instead of a
+/// [`keccak_checksum`].
+pub const CRC32C_VERSION: u16 = 3;
+
 /// Size of the superblock at the start of every segment file.
 pub const SUPERBLOCK_LEN: usize = 32;
 
-/// Frame header size: `len: u32` + truncated-keccak checksum.
+/// Frame header size: `len: u32` + checksum.
 pub const FRAME_HEADER_LEN: usize = 4 + CHECKSUM_LEN;
 
-/// Checksum length in bytes (truncated keccak — integrity, not crypto).
+/// Checksum length in bytes (integrity, not crypto).
 pub const CHECKSUM_LEN: usize = 4;
 
 /// Upper bound on a sane frame payload; anything larger is corruption.
@@ -189,12 +206,79 @@ fn read_len_prefixed_u256(buf: &[u8], pos: &mut usize) -> Result<U256, String> {
     Ok(v)
 }
 
-/// Truncated-keccak checksum over a frame payload.
+/// The frame checksum of format v3: CRC32C of `payload`, little-endian.
 pub fn checksum(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
-    let digest = keccak256(payload);
+    crc32c(payload).to_le_bytes()
+}
+
+/// Truncated-keccak checksum: the first [`CHECKSUM_LEN`] bytes of
+/// `bytes`' Keccak-256 digest. Seals superblocks, v1/v2 frames, the
+/// hash-index sidecar and served header chains.
+pub fn keccak_checksum(bytes: &[u8]) -> [u8; CHECKSUM_LEN] {
+    let digest = keccak256(bytes);
     let mut out = [0u8; CHECKSUM_LEN];
     out.copy_from_slice(&digest.0[..CHECKSUM_LEN]);
     out
+}
+
+/// CRC32C (Castagnoli) in its reflected form.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slice-by-8 tables: `t[0]` is the byte-at-a-time table, and `t[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC32C_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC32C of `data`, eight bytes per step.
+fn crc32c(data: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    !crc
 }
 
 /// Segment filename for index `i` (`seg-00042.seg`).
@@ -229,13 +313,18 @@ fn side_from_byte(b: u8) -> Option<Side> {
 ///
 /// Layout (32 bytes): magic(8) · version(u16 LE) · side(u8) · codec(u8) ·
 /// segment(u32 LE) · first_seq(u64 LE) · base_time(u32 LE) · checksum(4) —
-/// the checksum covers the first 28 bytes, so a flipped superblock byte
-/// marks the whole segment corrupt instead of mis-attributing its records.
+/// the checksum, a [`keccak_checksum`] in every version, covers the first
+/// 28 bytes, so a flipped superblock byte marks the whole segment corrupt
+/// instead of mis-attributing its records.
 ///
 /// The codec byte and `base_time` occupy slots that were reserved zeroes in
 /// format v1, so v1 segments decode as `Raw` with `base_time == 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Superblock {
+    /// Format version of this segment: [`VERSION`] for segments this build
+    /// creates, the decoded value for segments read back. It picks the
+    /// frame checksum ([`Superblock::frame_checksum`]).
+    pub version: u16,
     /// Which side's stream this segment holds.
     pub side: Side,
     /// Payload encoding for every frame in this segment.
@@ -251,17 +340,28 @@ pub struct Superblock {
 }
 
 impl Superblock {
-    /// Serializes to the fixed 32-byte layout (always [`VERSION`]).
+    /// The checksum sealing this segment's frames: CRC32C ([`checksum`])
+    /// from [`CRC32C_VERSION`] on, truncated keccak before. The writer and
+    /// every frame read go through here.
+    pub fn frame_checksum(&self, payload: &[u8]) -> [u8; CHECKSUM_LEN] {
+        if self.version >= CRC32C_VERSION {
+            checksum(payload)
+        } else {
+            keccak_checksum(payload)
+        }
+    }
+
+    /// Serializes to the fixed 32-byte layout, stamping `self.version`.
     pub fn encode(&self) -> [u8; SUPERBLOCK_LEN] {
         let mut out = [0u8; SUPERBLOCK_LEN];
         out[0..8].copy_from_slice(&MAGIC);
-        out[8..10].copy_from_slice(&VERSION.to_le_bytes());
+        out[8..10].copy_from_slice(&self.version.to_le_bytes());
         out[10] = side_to_byte(self.side);
         out[11] = self.codec.as_byte();
         out[12..16].copy_from_slice(&self.segment.to_le_bytes());
         out[16..24].copy_from_slice(&self.first_seq.to_le_bytes());
         out[24..28].copy_from_slice(&self.base_time.to_le_bytes());
-        let crc = checksum(&out[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
+        let crc = keccak_checksum(&out[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
         out[SUPERBLOCK_LEN - CHECKSUM_LEN..].copy_from_slice(&crc);
         out
     }
@@ -273,7 +373,7 @@ impl Superblock {
             return Err(format!("superblock truncated ({} bytes)", bytes.len()));
         }
         let bytes = &bytes[..SUPERBLOCK_LEN];
-        let crc = checksum(&bytes[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
+        let crc = keccak_checksum(&bytes[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
         if crc != bytes[SUPERBLOCK_LEN - CHECKSUM_LEN..] {
             return Err("superblock checksum mismatch".into());
         }
@@ -293,6 +393,7 @@ impl Superblock {
         let first_seq = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         let base_time = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
         Ok(Superblock {
+            version,
             side,
             codec,
             segment,
@@ -606,20 +707,25 @@ impl FramePrefix {
 }
 
 /// Encodes a full frame (header + payload) for `record` at `seq` under the
-/// segment's codec.
+/// segment's codec and frame checksum.
 pub fn encode_frame_in(sb: &Superblock, record: &ArchiveRecord, seq: u64) -> Vec<u8> {
-    frame_from_payload(record.encode_payload_in(sb, seq))
+    let payload = record.encode_payload_in(sb, seq);
+    let sum = sb.frame_checksum(&payload);
+    frame_from_payload(payload, sum)
 }
 
-/// Encodes a full [`Codec::Raw`] frame (header + payload) for `record`.
+/// Encodes a full [`Codec::Raw`] frame (header + payload) for `record`,
+/// sealed with the current format's [`checksum`].
 pub fn encode_frame(record: &ArchiveRecord, seq: u64) -> Vec<u8> {
-    frame_from_payload(record.encode_payload(seq))
+    let payload = record.encode_payload(seq);
+    let sum = checksum(&payload);
+    frame_from_payload(payload, sum)
 }
 
-fn frame_from_payload(payload: Vec<u8>) -> Vec<u8> {
+fn frame_from_payload(payload: Vec<u8>, sum: [u8; CHECKSUM_LEN]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(&payload));
+    out.extend_from_slice(&sum);
     out.extend_from_slice(&payload);
     out
 }
@@ -655,6 +761,7 @@ mod tests {
 
     fn delta_superblock(first_seq: u64, base_time: u32) -> Superblock {
         Superblock {
+            version: VERSION,
             side: Side::Eth,
             codec: Codec::Delta,
             segment: 3,
@@ -665,35 +772,108 @@ mod tests {
 
     #[test]
     fn superblock_roundtrip() {
-        for codec in [Codec::Raw, Codec::Delta] {
-            let sb = Superblock {
-                side: Side::Etc,
-                codec,
-                segment: 42,
-                first_seq: 1_234_567,
-                base_time: 1_469_000_000,
-            };
-            let bytes = sb.encode();
-            assert_eq!(bytes.len(), SUPERBLOCK_LEN);
-            assert_eq!(Superblock::decode(&bytes).unwrap(), sb);
+        for version in [2, VERSION] {
+            for codec in [Codec::Raw, Codec::Delta] {
+                let sb = Superblock {
+                    version,
+                    side: Side::Etc,
+                    codec,
+                    segment: 42,
+                    first_seq: 1_234_567,
+                    base_time: 1_469_000_000,
+                };
+                let bytes = sb.encode();
+                assert_eq!(bytes.len(), SUPERBLOCK_LEN);
+                assert_eq!(Superblock::decode(&bytes).unwrap(), sb);
+            }
         }
     }
 
     #[test]
     fn superblock_detects_any_flip() {
-        let bytes = Superblock {
-            side: Side::Eth,
+        for version in [2, VERSION] {
+            let bytes = Superblock {
+                version,
+                side: Side::Eth,
+                codec: Codec::Raw,
+                segment: 0,
+                first_seq: 0,
+                base_time: 0,
+            }
+            .encode();
+            for i in 0..bytes.len() * 8 {
+                let mut bad = bytes;
+                bad[i / 8] ^= 1 << (i % 8);
+                assert!(
+                    Superblock::decode(&bad).is_err(),
+                    "v{version}: flip of bit {i} undetected"
+                );
+            }
+        }
+    }
+
+    /// Bit-at-a-time CRC32C, the reference the table-driven one must equal.
+    fn crc32c_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC32C_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32c_known_answer() {
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(checksum(b"123456789"), 0xE306_9283u32.to_le_bytes());
+        assert_eq!(crc32c(b""), 0);
+    }
+
+    #[test]
+    fn crc32c_slice_by_8_matches_bitwise() {
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                crc32c(&data[..len]),
+                crc32c_bitwise(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_checksum_follows_the_superblock_version() {
+        let payload = tx(2).encode_payload(5);
+        let sb = |version| Superblock {
+            version,
+            side: Side::Etc,
             codec: Codec::Raw,
             segment: 0,
             first_seq: 0,
             base_time: 0,
+        };
+        for version in [1, 2] {
+            assert_eq!(
+                sb(version).frame_checksum(&payload),
+                keccak_checksum(&payload)
+            );
         }
-        .encode();
-        for i in 0..bytes.len() {
-            let mut bad = bytes;
-            bad[i] ^= 0x40;
-            assert!(Superblock::decode(&bad).is_err(), "flip at {i} undetected");
-        }
+        assert_eq!(sb(VERSION).frame_checksum(&payload), checksum(&payload));
+        assert_ne!(checksum(&payload), keccak_checksum(&payload));
+        // A v3 frame is the Raw frame `encode_frame` builds, byte for byte.
+        let rec = tx(2);
+        assert_eq!(
+            encode_frame_in(&sb(VERSION), &rec, 5),
+            encode_frame(&rec, 5)
+        );
     }
 
     #[test]
@@ -706,9 +886,10 @@ mod tests {
         bytes[10] = 1; // Etc
         bytes[12..16].copy_from_slice(&7u32.to_le_bytes());
         bytes[16..24].copy_from_slice(&99u64.to_le_bytes());
-        let crc = checksum(&bytes[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
+        let crc = keccak_checksum(&bytes[..SUPERBLOCK_LEN - CHECKSUM_LEN]);
         bytes[SUPERBLOCK_LEN - CHECKSUM_LEN..].copy_from_slice(&crc);
         let sb = Superblock::decode(&bytes).unwrap();
+        assert_eq!(sb.version, 1);
         assert_eq!(sb.codec, Codec::Raw);
         assert_eq!(sb.base_time, 0);
         assert_eq!((sb.side, sb.segment, sb.first_seq), (Side::Etc, 7, 99));

@@ -8,7 +8,12 @@
 //! checksums; that is the job of reads and of `ArchiveReader::verify`.
 //!
 //! [`SegmentCursor`] is the read path: sequential frames with checksum
-//! verification, startable at any frame offset the index produced.
+//! verification, startable at any frame offset the index produced. Every
+//! frame read in the crate — streams, `verify()`, sidecar rebuilds and
+//! point reads — goes through [`SegmentCursor::next_frame`], which checks
+//! each payload with the checksum its superblock's version names
+//! ([`Superblock::frame_checksum`]: CRC32C for v3, truncated keccak for
+//! v1/v2).
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -18,8 +23,8 @@ use fork_replay::Side;
 
 use crate::error::ArchiveError;
 use crate::format::{
-    checksum, min_payload_len, ArchiveRecord, FramePrefix, Superblock, FRAME_HEADER_LEN,
-    INDEX_STRIDE, KIND_BLOCK, KIND_TX, MAX_PAYLOAD_LEN, PREFIX_READ_LEN, SUPERBLOCK_LEN,
+    min_payload_len, ArchiveRecord, FramePrefix, Superblock, FRAME_HEADER_LEN, INDEX_STRIDE,
+    KIND_BLOCK, KIND_TX, MAX_PAYLOAD_LEN, PREFIX_READ_LEN, SUPERBLOCK_LEN,
 };
 
 /// Everything the open-time scan learns about one segment file.
@@ -203,6 +208,8 @@ pub struct SegmentCursor {
     reader: BufReader<File>,
     pos: u64,
     end: u64,
+    /// Payload buffer, reused from frame to frame.
+    payload: Vec<u8>,
 }
 
 impl SegmentCursor {
@@ -227,6 +234,7 @@ impl SegmentCursor {
             reader,
             pos: start,
             end,
+            payload: Vec::new(),
         })
     }
 
@@ -263,19 +271,19 @@ impl SegmentCursor {
                 format!("implausible frame length {len}"),
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        if let Err(e) = self.reader.read_exact(&mut payload) {
+        self.payload.resize(len as usize, 0);
+        if let Err(e) = self.reader.read_exact(&mut self.payload) {
             return Some(Err(ArchiveError::io(&self.path, e)));
         }
         self.pos = offset + FRAME_HEADER_LEN as u64 + len as u64;
-        if checksum(&payload) != header[4..8] {
+        if self.superblock.frame_checksum(&self.payload) != header[4..8] {
             return Some(Err(ArchiveError::corrupt(
                 &self.path,
                 offset,
                 "frame checksum mismatch",
             )));
         }
-        match ArchiveRecord::decode_payload_in(&self.superblock, &payload) {
+        match ArchiveRecord::decode_payload_in(&self.superblock, &self.payload) {
             Ok((seq, record)) => Some(Ok((offset, seq, record))),
             Err(d) => Some(Err(ArchiveError::corrupt(&self.path, offset, d))),
         }

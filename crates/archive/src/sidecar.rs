@@ -18,6 +18,10 @@
 //! append, a compaction, or a torn-tail truncation all invalidate the
 //! sidecar — a stale file is detected and rebuilt, never trusted.
 //!
+//! Both sidecar checksums are [`keccak_checksum`] whatever the segments'
+//! format version: frame checksums (CRC32C from v3) never enter the
+//! sidecar, so the same records give the same sidecar bytes in v2 and v3.
+//!
 //! The sidecar is a pure accelerator: [`HashIndex::load_or_build`] never
 //! fails. A missing, torn, corrupt, or stale file is silently replaced by
 //! a fresh scan-built index (persisted best-effort via write-to-temp +
@@ -30,7 +34,9 @@ use std::path::Path;
 use fork_primitives::H256;
 use fork_replay::Side;
 
-use crate::format::{checksum, ArchiveRecord, CHECKSUM_LEN, SUPERBLOCK_LEN};
+use crate::format::{
+    keccak_checksum, ArchiveRecord, Codec, CHECKSUM_LEN, CRC32C_VERSION, SUPERBLOCK_LEN, VERSION,
+};
 use crate::reader::ArchiveReader;
 use crate::segment::SegmentCursor;
 
@@ -132,28 +138,31 @@ pub fn archive_fingerprint(reader: &ArchiveReader) -> [u8; CHECKSUM_LEN] {
             buf.extend_from_slice(&scan.valid_len.to_le_bytes());
         }
     }
-    checksum(&buf)
+    keccak_checksum(&buf)
 }
 
 /// Format version required to read this archive: the highest version any
-/// segment's codec demands (`Delta` frames are a v2 feature; `Raw` reads
-/// as v1), or the current writer version for an empty archive. Clients key
-/// caches on this plus the fingerprint.
+/// segment demands, or the current writer version for an empty archive.
+/// A v3 segment demands v3 (its frames carry CRC32C checksums); an older
+/// one demands what its codec needs (`Delta` frames are a v2 feature;
+/// `Raw` reads as v1). Clients key caches on this plus the fingerprint.
 pub fn archive_format_version(reader: &ArchiveReader) -> u16 {
-    let mut version = 0;
-    for side in [Side::Eth, Side::Etc] {
-        for (_, scan) in reader.segments(side) {
-            version = version.max(match scan.superblock.codec {
-                crate::format::Codec::Raw => 1,
-                crate::format::Codec::Delta => 2,
-            });
-        }
-    }
-    if version == 0 {
-        crate::format::VERSION
-    } else {
-        version
-    }
+    [Side::Eth, Side::Etc]
+        .into_iter()
+        .flat_map(|side| reader.segments(side))
+        .map(|(_, scan)| {
+            let sb = scan.superblock;
+            if sb.version >= CRC32C_VERSION {
+                sb.version
+            } else {
+                match sb.codec {
+                    Codec::Raw => 1,
+                    Codec::Delta => 2,
+                }
+            }
+        })
+        .max()
+        .unwrap_or(VERSION)
 }
 
 /// In-memory hash index over one opened archive. See the [module
@@ -279,7 +288,7 @@ impl HashIndex {
             out.extend_from_slice(&e.offset.to_le_bytes());
             out.extend_from_slice(&e.seq.to_le_bytes());
         }
-        let sum = checksum(&out);
+        let sum = keccak_checksum(&out);
         out.extend_from_slice(&sum);
         out
     }
@@ -312,7 +321,7 @@ fn try_load(dir: &Path, expect_fingerprint: [u8; CHECKSUM_LEN]) -> Result<HashIn
         )));
     }
     let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    if checksum(body) != tail {
+    if keccak_checksum(body) != tail {
         return Err(SidecarFault::Corrupt("file checksum mismatch".into()));
     }
     if &body[0..8] != SIDECAR_MAGIC {
@@ -450,6 +459,79 @@ mod tests {
             "fingerprint mismatch must read as stale"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes one segment file per `(side, version, codec)` by hand — the
+    /// writer only creates current-version segments — each holding one
+    /// block frame sealed with that version's frame checksum.
+    fn archive_of(tag: &str, segments: &[(Side, u16, Codec)]) -> std::path::PathBuf {
+        use crate::format::{encode_frame_in, segment_file_name, side_dir_name, Superblock};
+        let dir = std::env::temp_dir().join(format!("sidecar-ver-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, &(side, version, codec)) in segments.iter().enumerate() {
+            let sb = Superblock {
+                version,
+                side,
+                codec,
+                segment: i as u32,
+                first_seq: i as u64,
+                base_time: 0,
+            };
+            let record = ArchiveRecord::Block(fork_analytics::BlockRecord {
+                network: side,
+                number: i as u64,
+                hash: H256([i as u8; 32]),
+                timestamp: 1_000 + i as u64,
+                difficulty: fork_primitives::U256::from_u64(7),
+                beneficiary: fork_primitives::Address([1; 20]),
+                gas_used: 0,
+                tx_count: 0,
+                ommer_count: 0,
+            });
+            let mut bytes = sb.encode().to_vec();
+            bytes.extend_from_slice(&encode_frame_in(&sb, &record, i as u64));
+            let side_dir = dir.join(side_dir_name(side));
+            std::fs::create_dir_all(&side_dir).unwrap();
+            std::fs::write(side_dir.join(segment_file_name(i as u32)), bytes).unwrap();
+        }
+        dir
+    }
+
+    /// One segment per `(side, version, codec)`.
+    type Layout = &'static [(Side, u16, Codec)];
+
+    #[test]
+    fn format_version_is_the_highest_any_segment_demands() {
+        let cases: [(&str, Layout, u16); 6] = [
+            ("v1", &[(Side::Eth, 1, Codec::Raw)], 1),
+            ("v2-raw", &[(Side::Eth, 2, Codec::Raw)], 1),
+            ("v2-delta", &[(Side::Etc, 2, Codec::Delta)], 2),
+            ("v3-raw", &[(Side::Eth, 3, Codec::Raw)], 3),
+            (
+                "mixed-v2",
+                &[(Side::Eth, 1, Codec::Raw), (Side::Etc, 2, Codec::Delta)],
+                2,
+            ),
+            (
+                "mixed-v3",
+                &[
+                    (Side::Eth, 2, Codec::Raw),
+                    (Side::Eth, 3, Codec::Raw),
+                    (Side::Etc, 2, Codec::Delta),
+                ],
+                3,
+            ),
+        ];
+        for (tag, segments, want) in cases {
+            let dir = archive_of(tag, segments);
+            let reader = ArchiveReader::open(&dir).unwrap();
+            // Every hand-built frame verifies under its own version's
+            // checksum, so the fixtures are real archives of that version.
+            let (ok, bad, torn) = reader.verify().totals();
+            assert_eq!((ok, bad, torn), (segments.len() as u64, 0, 0), "{tag}");
+            assert_eq!(archive_format_version(&reader), want, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use fork_telemetry::{json::Value, Counter, MetricsRegistry};
 use crate::error::ArchiveError;
 use crate::format::{
     encode_frame_in, segment_file_name, side_dir_name, ArchiveRecord, Codec, Superblock,
-    SUPERBLOCK_LEN,
+    SUPERBLOCK_LEN, VERSION,
 };
 use crate::segment::scan_segment;
 
@@ -35,7 +35,8 @@ pub struct ArchiveConfig {
     /// many bytes (a segment always holds at least one frame).
     pub segment_max_bytes: u64,
     /// Payload codec for newly opened segments. Appending to an existing
-    /// archive keeps each reopened segment's own codec.
+    /// archive keeps each reopened segment's own codec (and format
+    /// version).
     pub codec: Codec,
 }
 
@@ -120,6 +121,7 @@ impl SideWriter {
         let file = File::create(&path).map_err(|e| ArchiveError::io(&path, e))?;
         let mut writer = BufWriter::new(file);
         let sb = Superblock {
+            version: VERSION,
             side: self.side,
             codec,
             segment: self.segment,
@@ -273,18 +275,20 @@ impl ArchiveWriter {
         for sw in writer.sides.iter_mut() {
             let mut segments = list_segments(&sw.dir)?;
             segments.sort();
-            // A crash between a segment roll and the first superblock byte
-            // leaves a zero-length file. There is nothing to recover in it;
-            // remove it so the previous segment becomes the append tail.
-            // (Only empty files get this treatment — a short-but-nonempty
-            // file is real corruption and still fails the superblock scan.)
+            // A crash between a segment roll and the end of the new
+            // superblock leaves a zero-length file, or a tail shorter than
+            // a superblock. Neither holds a frame; remove it so the
+            // previous segment becomes the append tail. (Only the tail may
+            // be short — a short-but-nonempty file anywhere else is real
+            // corruption and still fails the superblock scan.)
             let mut kept = Vec::with_capacity(segments.len());
-            for &seg in &segments {
+            for (i, &seg) in segments.iter().enumerate() {
                 let path = sw.dir.join(segment_file_name(seg));
                 let len = fs::metadata(&path)
                     .map_err(|e| ArchiveError::io(&path, e))?
                     .len();
-                if len == 0 {
+                let is_tail = i + 1 == segments.len();
+                if len == 0 || (is_tail && len < SUPERBLOCK_LEN as u64) {
                     fs::remove_file(&path).map_err(|e| ArchiveError::io(&path, e))?;
                 } else {
                     kept.push(seg);
@@ -307,8 +311,10 @@ impl ArchiveWriter {
                 }
                 if seg == last {
                     // Reopen the tail segment for appending. Its own
-                    // superblock keeps supplying the encode anchors, so a
-                    // raw tail stays raw even under a delta config.
+                    // superblock keeps supplying the encode anchors and
+                    // the frame checksum, so a raw tail stays raw under a
+                    // delta config and a v2 tail keeps its keccak frames;
+                    // the next roll opens a current-version segment.
                     let file = OpenOptions::new()
                         .append(true)
                         .open(&path)

@@ -266,30 +266,32 @@ fn torn_tail_truncated_and_append_resumes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn every_single_byte_flip_is_detected() {
-    let dir = scratch("flip");
-    let plan: Vec<(u8, u64, u8)> = vec![(0, 1, 2), (1, 1, 1), (0, 2, 0)];
-    write_archive(&dir, ArchiveConfig::default(), &plan);
-    let seg = dir.join("eth").join("seg-00000.seg");
-    let clean = std::fs::read(&seg).unwrap();
+/// Applies each `(byte, mask)` flip to `seg` in turn: every one must leave
+/// `dir` opening without a panic and verifying unclean, and none may grow
+/// the count of ok frames.
+fn assert_flips_detected(
+    dir: &std::path::Path,
+    seg: &std::path::Path,
+    flips: impl Iterator<Item = (usize, u8)>,
+) {
+    let clean = std::fs::read(seg).unwrap();
     let clean_count = {
-        let reader = ArchiveReader::open(&dir).unwrap();
+        let reader = ArchiveReader::open(dir).unwrap();
         let (ok, bad, torn) = reader.verify().totals();
         assert_eq!((bad, torn), (0, 0));
         ok
     };
 
-    for i in 0..clean.len() {
+    for (i, mask) in flips {
         let mut bad = clean.clone();
-        bad[i] ^= 0x10;
-        std::fs::write(&seg, &bad).unwrap();
+        bad[i] ^= mask;
+        std::fs::write(seg, &bad).unwrap();
         // Opening never panics, whatever byte is flipped.
-        let reader = ArchiveReader::open(&dir).unwrap();
+        let reader = ArchiveReader::open(dir).unwrap();
         let verify = reader.verify();
         assert!(
             !verify.is_clean(),
-            "flip at byte {i} of {} undetected",
+            "flip {mask:#04x} at byte {i} of {} undetected",
             clean.len()
         );
         // Structural flips (superblock, frame lengths) may hide later
@@ -298,8 +300,67 @@ fn every_single_byte_flip_is_detected() {
         let (ok, _, _) = verify.totals();
         assert!(ok < clean_count + 1, "flip at {i} grew the archive");
     }
-    std::fs::write(&seg, &clean).unwrap();
-    assert!(ArchiveReader::open(&dir).unwrap().verify().is_clean());
+    std::fs::write(seg, &clean).unwrap();
+    assert!(ArchiveReader::open(dir).unwrap().verify().is_clean());
+}
+
+/// The committed pre-v3 archive: v2 superblocks, `Raw` codec, keccak
+/// frames.
+fn v2_fixture() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../figures/archive")
+}
+
+/// Copies the v2 fixture's ETH superblock and first `frames` frames into a
+/// fresh archive, so a flip sweep over it stays small.
+fn v2_fixture_prefix(tag: &str, frames: usize) -> (PathBuf, PathBuf) {
+    let bytes = std::fs::read(v2_fixture().join("eth").join("seg-00000.seg")).unwrap();
+    assert_eq!(u16::from_le_bytes([bytes[8], bytes[9]]), 2, "fixture is v2");
+    let mut end = 32;
+    for _ in 0..frames {
+        let len = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap()) as usize;
+        end += 8 + len;
+    }
+    let dir = scratch(tag);
+    std::fs::create_dir_all(dir.join("eth")).unwrap();
+    let seg = dir.join("eth").join("seg-00000.seg");
+    std::fs::write(&seg, &bytes[..end]).unwrap();
+    (dir, seg)
+}
+
+#[test]
+fn every_single_byte_flip_is_detected() {
+    // A v3 archive (CRC32C frames)...
+    let dir = scratch("flip");
+    let plan: Vec<(u8, u64, u8)> = vec![(0, 1, 2), (1, 1, 1), (0, 2, 0)];
+    write_archive(&dir, ArchiveConfig::default(), &plan);
+    let seg = dir.join("eth").join("seg-00000.seg");
+    let len = std::fs::metadata(&seg).unwrap().len() as usize;
+    assert_flips_detected(&dir, &seg, (0..len).map(|i| (i, 0x10)));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // ...and the committed v2 fixture (keccak frames).
+    let (dir, seg) = v2_fixture_prefix("flip-v2", 5);
+    let len = std::fs::metadata(&seg).unwrap().len() as usize;
+    assert_flips_detected(&dir, &seg, (0..len).map(|i| (i, 0x10)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_single_bit_flip_in_a_v3_segment_is_detected() {
+    // CRC32C catches every single-bit error outright, so this sweep is a
+    // guarantee, not a sample.
+    let dir = scratch("bitflip");
+    let plan: Vec<(u8, u64, u8)> = vec![(0, 1, 3), (0, 2, 1)];
+    write_archive(&dir, ArchiveConfig::default(), &plan);
+    let seg = dir.join("eth").join("seg-00000.seg");
+    let bytes = std::fs::read(&seg).unwrap();
+    assert_eq!(
+        u16::from_le_bytes([bytes[8], bytes[9]]),
+        3,
+        "writer makes v3"
+    );
+    let flips = (0..bytes.len() * 8).map(|bit| (bit / 8, 1u8 << (bit % 8)));
+    assert_flips_detected(&dir, &seg, flips);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

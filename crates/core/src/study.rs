@@ -636,7 +636,11 @@ mod tests {
                 "{name} must be re-derivable from the archive bit-identically"
             );
         }
-        assert!(agg.cache.misses > 0, "the batch reads through the cache");
+        assert_eq!(
+            agg.cache.hits + agg.cache.misses,
+            0,
+            "a full-range batch streams past the cache"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! [`QueryExecutor`] fans a batch of queries out across OS threads — each
 //! worker claims queries off a shared index and evaluates them over its own
-//! [`PoolStream`](crate::PoolStream)s, so the only shared mutable state is
-//! the frame cache (internally synchronized). Results land in
+//! streams, so the only shared mutable state is the frame cache
+//! (internally synchronized, and touched only by bounded ranges and point
+//! reads). Results land in
 //! **input-order slots**: whatever order workers finish in, the returned
 //! vector lines up with the submitted batch, and each individual result is
 //! identical to a single-threaded evaluation of the same query.
@@ -66,8 +67,8 @@ impl QueryExecutor {
         out
     }
 
-    /// Evaluates one query on the calling thread (through the pool's cache,
-    /// with latency recorded).
+    /// Evaluates one query on the calling thread (through the pool, with
+    /// latency recorded).
     pub fn run(&self, pool: &ReaderPool, query: &Query) -> Result<QueryOutput, QueryError> {
         self.timed(pool, query)
     }
@@ -114,8 +115,8 @@ impl QueryExecutor {
     }
 
     /// Evaluates one lookup on the calling thread through the sidecar fast
-    /// path (hash lookups) or the pooled cached streams (the rest), with
-    /// latency recorded into `query.latency`.
+    /// path (hash lookups) or the pooled streams (the rest), with latency
+    /// recorded into `query.latency`.
     pub fn run_lookup(
         &self,
         pool: &ReaderPool,

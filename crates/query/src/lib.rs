@@ -11,9 +11,12 @@
 //!   of independent cursors sharing the immutable index — no per-consumer
 //!   re-scan, no cross-consumer positions.
 //! - [`FrameCache`] is a sharded, byte-budgeted LRU of decoded frames.
-//!   Concurrent scans over overlapping ranges hit memory instead of disk;
-//!   hit/miss/eviction counts are visible via [`CacheStats`] and, when
-//!   bound to a registry, the `query.cache.{hit,miss}` counters.
+//!   Bounded windows and hash lookups are admitted, so concurrent reads of
+//!   overlapping windows hit memory instead of disk; full-range scans
+//!   stream past it (one read, one checksum, one decode per frame) instead
+//!   of evicting it. Hit/miss/eviction counts are visible via
+//!   [`CacheStats`] and, when bound to a registry, the
+//!   `query.cache.{hit,miss}` counters.
 //! - [`Query`] is the typed surface: a side, a [`QueryRange`] (all /
 //!   block-number / time window), and a [`Projection`] — raw blocks or txs,
 //!   or one of the paper's aggregates (inter-arrival histogram, daily
@@ -61,7 +64,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use fork_analytics::{BlockRecord, Pipeline, TxRecord};
-    use fork_archive::{ArchiveConfig, ArchiveReader, ArchiveWriter, Codec};
+    use fork_archive::{ArchiveConfig, ArchiveReader, ArchiveRecord, ArchiveWriter, Codec};
     use fork_primitives::{Address, H256, U256};
     use fork_replay::Side;
     use fork_sim::LedgerSink;
@@ -184,13 +187,67 @@ mod tests {
 
     #[test]
     fn pooled_scan_equals_reader_scan() {
+        use crate::pool::Bounds;
         let dir = fixture("pooled-scan");
         let pool = ReaderPool::open(&dir).unwrap();
-        for side in [Side::Eth, Side::Etc] {
-            let pooled: Vec<_> = pool.records(side).map(Result::unwrap).collect();
-            let direct: Vec<_> = pool.reader().records(side).map(Result::unwrap).collect();
-            assert_eq!(pooled, direct);
+        let reader = pool.reader();
+        let (t0, t1) = (1_469_000_000 + 20 * 900, 1_469_000_000 + 80 * 900);
+        // Cold, then from the cache: the bounded streams must yield the
+        // reader's own range scans either way.
+        for pass in ["cold", "warm"] {
+            for side in [Side::Eth, Side::Etc] {
+                for (first, last) in [(0, 119), (30, 90), (64, 64), (119, 500)] {
+                    let pooled: Vec<BlockRecord> = pool
+                        .stream(side, Bounds::Numbers { first, last })
+                        .filter_map(|item| match item.unwrap().1 {
+                            ArchiveRecord::Block(b) => {
+                                (first..=last).contains(&b.number).then_some(b)
+                            }
+                            ArchiveRecord::Tx(_) => None,
+                        })
+                        .collect();
+                    let direct: Vec<BlockRecord> = reader
+                        .blocks_in(side, first, last)
+                        .map(Result::unwrap)
+                        .collect();
+                    assert_eq!(pooled, direct, "{pass}: {side:?} blocks {first}..={last}");
+                }
+                let pooled: Vec<_> = pool
+                    .stream(side, Bounds::Times { start: t0, end: t1 })
+                    .map(Result::unwrap)
+                    .filter(|(_, rec)| (t0..=t1).contains(&rec.timestamp()))
+                    .collect();
+                let direct: Vec<_> = reader
+                    .records_in_time_range(side, t0, t1)
+                    .map(Result::unwrap)
+                    .collect();
+                assert!(!direct.is_empty());
+                assert_eq!(pooled, direct, "{pass}: {side:?} time window");
+            }
         }
+        assert!(pool.cache().stats().hits > 0, "the warm pass hit the cache");
+    }
+
+    #[test]
+    fn full_range_batch_leaves_the_cache_untouched() {
+        let dir = fixture("all-bypass");
+        let pool = ReaderPool::open(&dir).unwrap();
+        let exec = QueryExecutor::new(4);
+        let (full, bounded): (Vec<Query>, Vec<Query>) = all_queries()
+            .into_iter()
+            .partition(|q| q.range == QueryRange::All);
+        assert!(full.len() >= 10);
+        // Something resident first, so "unchanged" is not "still empty".
+        exec.run_batch(&pool, &bounded);
+        let before = pool.cache().stats();
+        assert!(before.resident_bytes > 0);
+        for out in exec.run_batch(&pool, &full) {
+            out.unwrap();
+        }
+        exec.run_lookup(&pool, &Lookup::TipHistory).unwrap();
+        let after = pool.cache().stats();
+        assert_eq!(after.hits + after.misses, before.hits + before.misses);
+        assert_eq!(after.resident_bytes, before.resident_bytes);
     }
 
     #[test]

@@ -18,10 +18,16 @@
 //! frame's canonical `Raw` payload plus its truncated-keccak checksum. A
 //! client re-verifies the chain with [`HeaderChain::verify`] using the
 //! checksum function alone — no archive access needed — which is the
-//! light-client-style sync primitive.
+//! light-client-style sync primitive. The seal is keccak whatever format
+//! the archive's frames use, so `Headers` bytes do not depend on it.
+//!
+//! Which reads touch the frame cache follows the query: hash lookups read
+//! one frame by offset and `BlockByNumber`/`Headers` stream a bounded
+//! window, all through the cache; hash scans and `TipHistory` stream whole
+//! sides past it.
 
 use fork_analytics::BlockRecord;
-use fork_archive::format::{checksum, CHECKSUM_LEN, KIND_BLOCK, KIND_TX};
+use fork_archive::format::{keccak_checksum, CHECKSUM_LEN, KIND_BLOCK, KIND_TX};
 use fork_archive::{ArchiveRecord, HashIndex, IndexEntry};
 use fork_primitives::H256;
 use fork_replay::Side;
@@ -133,23 +139,24 @@ pub struct TipHistoryOutput {
 }
 
 /// One header-chain entry: the block frame's canonical `Raw` payload plus
-/// its frame checksum. Self-verifying — see [`SealedHeader::verify`].
+/// its truncated-keccak seal. Self-verifying — see [`SealedHeader::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealedHeader {
     /// Global sequence number (also encoded inside the payload).
     pub seq: u64,
     /// The canonical `Raw`-codec frame payload for this block.
     pub payload: Vec<u8>,
-    /// Truncated-keccak checksum of `payload` — the same function sealing
-    /// every on-disk frame.
+    /// `fork_archive::format::keccak_checksum` of `payload` — the function
+    /// that sealed frames before format v3, kept here so the wire bytes
+    /// stay the same.
     pub checksum: [u8; CHECKSUM_LEN],
 }
 
 impl SealedHeader {
-    /// Recomputes the frame checksum over the payload. This is the entire
+    /// Recomputes the seal over the payload. This is the entire
     /// client-side trust check: no archive needed.
     pub fn verify(&self) -> bool {
-        checksum(&self.payload) == self.checksum
+        keccak_checksum(&self.payload) == self.checksum
     }
 
     /// Decodes the payload into the block record it seals.
@@ -257,7 +264,7 @@ pub(crate) fn evaluate_lookup(
                 if let ArchiveRecord::Block(b) = &record {
                     if (first..=last).contains(&b.number) {
                         let payload = record.encode_payload(seq);
-                        let sum = checksum(&payload);
+                        let sum = keccak_checksum(&payload);
                         headers.push(SealedHeader {
                             seq,
                             payload,

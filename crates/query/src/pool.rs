@@ -2,12 +2,23 @@
 //!
 //! [`ReaderPool`] opens the archive **once** — the expensive part of
 //! `ArchiveReader::open` is the header scan that builds per-segment sparse
-//! indexes — and then hands out any number of [`PoolStream`]s that share the
+//! indexes — and then hands out any number of streams that share the
 //! immutable index but own their file handles and read positions. Streams
 //! are therefore safe to drive from different threads concurrently
-//! (`ReaderPool: Sync`), and every frame read goes through the shared
-//! [`FrameCache`](crate::FrameCache), so concurrent scans over overlapping
-//! ranges hit memory instead of disk.
+//! (`ReaderPool: Sync`).
+//!
+//! What goes through the shared [`FrameCache`](crate::FrameCache) is a
+//! property of the read, not of its size:
+//!
+//! - Bounded ranges (a block-number or time window) are [`PoolStream`]s,
+//!   and hash lookups read their one frame by offset. Both probe the cache
+//!   and back-fill it on a miss, so repeated windows and hot hashes are
+//!   served from memory.
+//! - A full-range scan ([`ReaderPool::records`], and every
+//!   `QueryRange::All` query) is the reader's own checksummed
+//!   `RecordStream`: one read, one checksum and one decode per frame. It
+//!   never touches the cache, so a scan larger than the budget cannot
+//!   evict the windows that do repeat.
 //!
 //! A [`PoolStream`] reproduces `fork_archive::RecordStream`'s semantics
 //! exactly — same sparse-index seek, same segment-skip, same stop rule, same
@@ -17,9 +28,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use fork_archive::format::{Superblock, FRAME_HEADER_LEN, SUPERBLOCK_LEN};
+use fork_archive::format::{Superblock, FRAME_HEADER_LEN};
 use fork_archive::{
-    ArchiveError, ArchiveReader, ArchiveRecord, HashIndex, SegmentCursor, SegmentScan,
+    ArchiveError, ArchiveReader, ArchiveRecord, HashIndex, RecordStream, SegmentCursor, SegmentScan,
 };
 use fork_replay::Side;
 
@@ -33,21 +44,16 @@ pub const DEFAULT_CACHE_BYTES: u64 = 64 << 20;
 /// Default shard count for [`ReaderPool::open`].
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
-/// Where a range scan starts: mirrors the reader's private seek keys.
+/// The window a [`PoolStream`] covers, inclusive at both ends. The stream
+/// seeks to the sparse-index floor of the lower bound and stops at the
+/// first record past the upper one.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum SeekKey {
-    /// Seek to the largest indexed frame with block number `<= n`.
-    Number(u64),
-    /// Seek to the largest indexed frame with block timestamp `<= t`.
-    Time(u64),
-}
-
-/// Where a range scan ends (inclusive bound; the first record past it stops
-/// the stream).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum StopKey {
-    Number(u64),
-    Time(u64),
+pub(crate) enum Bounds {
+    /// Blocks numbered `first..=last` (tx frames tag along with their
+    /// block).
+    Numbers { first: u64, last: u64 },
+    /// Records timestamped `start..=end`.
+    Times { start: u64, end: u64 },
 }
 
 /// A shared, immutable view of one opened archive plus a frame cache. See
@@ -148,29 +154,24 @@ impl ReaderPool {
         }
     }
 
-    /// A fresh stream over `side`, optionally seeked and bounded. Each call
-    /// returns an independent cursor; any number may run concurrently.
-    pub(crate) fn stream(
-        &self,
-        side: Side,
-        seek: Option<SeekKey>,
-        stop: Option<StopKey>,
-    ) -> PoolStream<'_> {
+    /// A fresh cached stream over `side` covering at least `bounds`. Each
+    /// call returns an independent cursor; any number may run
+    /// concurrently.
+    pub(crate) fn stream(&self, side: Side, bounds: Bounds) -> PoolStream<'_> {
         PoolStream {
             cache: &self.cache,
             side,
             segments: self.reader.segments(side).iter(),
-            seek,
-            stop,
+            bounds,
             cursor: None,
             done: false,
         }
     }
 
-    /// Full scan of one side in write (= seq) order, served through the
-    /// cache.
-    pub fn records(&self, side: Side) -> PoolStream<'_> {
-        self.stream(side, None, None)
+    /// Full scan of one side in write (= seq) order: the reader's own
+    /// checksummed stream, past the cache (see the [module docs](self)).
+    pub fn records(&self, side: Side) -> RecordStream<'_> {
+        self.reader.records(side)
     }
 }
 
@@ -263,54 +264,54 @@ impl<'a> CachedCursor<'a> {
     }
 }
 
-/// Iterator over one side's records in write order, served through the
-/// pool's cache. Yields `(seq, record)`; corrupt frames surface as `Err`
-/// and end the affected segment's contribution (the stream continues with
-/// the next segment) — exactly like `fork_archive::RecordStream`.
+/// Iterator over one side's records of a bounded window, in write order,
+/// served through the pool's cache. Yields `(seq, record)`; corrupt frames
+/// surface as `Err` and end the affected segment's contribution (the
+/// stream continues with the next segment) — exactly like
+/// `fork_archive::RecordStream`.
 pub struct PoolStream<'a> {
     cache: &'a FrameCache,
     side: Side,
     segments: std::slice::Iter<'a, (PathBuf, SegmentScan)>,
-    seek: Option<SeekKey>,
-    stop: Option<StopKey>,
+    bounds: Bounds,
     cursor: Option<CachedCursor<'a>>,
     done: bool,
 }
 
 impl PoolStream<'_> {
-    /// Opens the next segment's cursor, applying the seek key (and skipping
-    /// segments that end before it).
-    fn advance_segment(&mut self) -> Option<Result<(), ArchiveError>> {
+    /// Opens the next segment's cursor at the sparse-index floor of the
+    /// lower bound, skipping segments that end before it. `None` when no
+    /// segment is left.
+    fn advance_segment(&mut self) -> Option<()> {
         loop {
             let (path, scan) = self.segments.next()?;
-            let start = match &self.seek {
-                None => SUPERBLOCK_LEN as u64,
-                Some(SeekKey::Number(n)) => {
-                    if scan.block_range.is_some_and(|(_, hi)| hi < *n) {
+            let start = match self.bounds {
+                Bounds::Numbers { first, .. } => {
+                    if scan.block_range.is_some_and(|(_, hi)| hi < first) {
                         continue; // whole segment precedes the range
                     }
-                    scan.seek_for_number(*n)
+                    scan.seek_for_number(first)
                 }
-                Some(SeekKey::Time(t)) => {
-                    if scan.time_range.is_some_and(|(_, hi)| hi < *t) {
+                Bounds::Times { start, .. } => {
+                    if scan.time_range.is_some_and(|(_, hi)| hi < start) {
                         continue;
                     }
-                    scan.seek_for_time(*t)
+                    scan.seek_for_time(start)
                 }
             };
             self.cursor = Some(CachedCursor::open(self.cache, self.side, path, scan, start));
-            return Some(Ok(()));
+            return Some(());
         }
     }
 
     fn past_stop(&self, record: &ArchiveRecord) -> bool {
-        match (&self.stop, record) {
+        match (self.bounds, record) {
             // Block numbers and timestamps ascend per side, so the first
             // block past the bound ends the scan. Tx frames tag along with
             // their block and are filtered by the caller.
-            (Some(StopKey::Number(n)), ArchiveRecord::Block(b)) => b.number > *n,
-            (Some(StopKey::Time(t)), rec) => rec.timestamp() > *t,
-            _ => false,
+            (Bounds::Numbers { last, .. }, ArchiveRecord::Block(b)) => b.number > last,
+            (Bounds::Numbers { .. }, ArchiveRecord::Tx(_)) => false,
+            (Bounds::Times { end, .. }, rec) => rec.timestamp() > end,
         }
     }
 
@@ -319,12 +320,8 @@ impl PoolStream<'_> {
             if self.done {
                 return Ok(None);
             }
-            if self.cursor.is_none() {
-                match self.advance_segment() {
-                    None => return Ok(None),
-                    Some(Ok(())) => {}
-                    Some(Err(e)) => return Err(e),
-                }
+            if self.cursor.is_none() && self.advance_segment().is_none() {
+                return Ok(None);
             }
             let cursor = self.cursor.as_mut().expect("cursor opened above");
             match cursor.next_frame() {

@@ -3,9 +3,10 @@
 //! A [`Query`] names a side, a range, and a [`Projection`]; evaluation
 //! turns the matching slice of the archive into raw records or one of the
 //! paper's aggregates — **without re-running the simulation**. The same
-//! evaluation code runs over any [`RecordSource`]: the pooled, cached
-//! source used by the executor and the naive single-threaded full-scan
-//! source used as the correctness reference. Because only the record
+//! evaluation code runs over any [`RecordSource`]: the pooled source used
+//! by the executor (cached windows for bounded ranges, the reader's own
+//! stream for `All`) and the naive single-threaded full-scan source used as
+//! the correctness reference. Because only the record
 //! *iteration* differs (and both iterations yield the same per-side record
 //! sequence in write order), pooled and naive results are identical by
 //! construction — the concurrency tests assert this byte-for-byte.
@@ -26,7 +27,7 @@ use fork_replay::{EchoDetector, Side};
 use fork_telemetry::HistogramSnapshot;
 
 use crate::error::QueryError;
-use crate::pool::{PoolStream, ReaderPool, SeekKey, StopKey};
+use crate::pool::{Bounds, ReaderPool};
 
 /// Which slice of the archive a query covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +147,9 @@ pub(crate) trait RecordSource {
     ) -> Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a>;
 }
 
-/// The production source: pooled, cached, seek-optimized streams.
+/// The production source: seek-optimized cached streams for bounded
+/// ranges, and the reader's own stream — the naive source's sequence —
+/// for `All`, so a full scan never churns the cache.
 pub(crate) struct PooledSource<'a>(pub &'a ReaderPool);
 
 impl RecordSource for PooledSource<'_> {
@@ -155,17 +158,12 @@ impl RecordSource for PooledSource<'_> {
         side: Side,
         range: &QueryRange,
     ) -> Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a> {
-        let (seek, stop) = match *range {
-            QueryRange::All => (None, None),
-            QueryRange::Blocks { first, last } => {
-                (Some(SeekKey::Number(first)), Some(StopKey::Number(last)))
-            }
-            QueryRange::Time { start, end } => {
-                (Some(SeekKey::Time(start)), Some(StopKey::Time(end)))
-            }
+        let bounds = match *range {
+            QueryRange::All => return Box::new(self.0.records(side)),
+            QueryRange::Blocks { first, last } => Bounds::Numbers { first, last },
+            QueryRange::Time { start, end } => Bounds::Times { start, end },
         };
-        let stream: PoolStream<'a> = self.0.stream(side, seek, stop);
-        Box::new(stream)
+        Box::new(self.0.stream(side, bounds))
     }
 }
 
@@ -319,7 +317,8 @@ pub(crate) fn evaluate(
 
 /// Replays every transaction on both sides through an [`EchoDetector`] in
 /// the original global ingestion order (merge by sequence number — the same
-/// merge `ArchiveReader::replay_into` performs).
+/// merge `ArchiveReader::replay_into` performs). Both streams are `All`, so
+/// echo queries of any range read past the frame cache.
 fn run_echo_detector(source: &dyn RecordSource) -> Result<EchoDetector, QueryError> {
     let mut eth = source.stream(Side::Eth, &QueryRange::All).peekable();
     let mut etc = source.stream(Side::Etc, &QueryRange::All).peekable();

@@ -220,7 +220,7 @@ fn lookup_output_from(kind: u64, id: u64, nums: &[u64], extra: &[u64]) -> Lookup
                     let mut b = block(n);
                     b.network = s;
                     let payload = ArchiveRecord::Block(b).encode_payload(n);
-                    let checksum = fork_archive::format::checksum(&payload);
+                    let checksum = fork_archive::format::keccak_checksum(&payload);
                     SealedHeader {
                         seq: n,
                         payload,
