@@ -63,7 +63,7 @@ impl NetworkAggregates {
     }
 }
 
-/// Cached ingest span handles (no-ops unless the build enables telemetry).
+/// Cached ingest span handles.
 #[derive(Debug, Clone)]
 struct IngestSpans {
     block: std::sync::Arc<fork_telemetry::SpanStats>,

@@ -214,7 +214,7 @@ pub struct ArchiveWriter {
     txs: u64,
     bytes: u64,
     error: Option<ArchiveError>,
-    // Telemetry (no-op counters unless attached to a registry).
+    // Telemetry (private counters unless attached to a registry).
     bytes_written: Arc<Counter>,
     frames_written: Arc<Counter>,
     flushes: Arc<Counter>,

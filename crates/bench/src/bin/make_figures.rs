@@ -643,25 +643,21 @@ fn main() {
     if wants("interarrival") {
         if let Some(result) = short_result.as_ref().or(long_result.as_ref()) {
             let series = result.interarrival_series();
-            if series.is_empty() {
-                eprintln!("interarrival: no histograms (telemetry feature off); skipping\n");
-            } else {
-                let refs: Vec<&fork_analytics::TimeSeries> = series.iter().collect();
-                let csv = args.out.join("interarrival.csv");
-                let json = args.out.join("interarrival.json");
-                fork_analytics::write_csv(&csv, &refs).expect("write interarrival csv");
-                fork_analytics::write_json(&json, &refs).expect("write interarrival json");
-                for s in &series {
-                    let n: f64 = s.points.iter().map(|(_, v)| v).sum();
-                    println!(
-                        "{}: {} samples across {} log2 buckets",
-                        s.label,
-                        n,
-                        s.points.len()
-                    );
-                }
-                println!("  -> {} and {}\n", csv.display(), json.display());
+            let refs: Vec<&fork_analytics::TimeSeries> = series.iter().collect();
+            let csv = args.out.join("interarrival.csv");
+            let json = args.out.join("interarrival.json");
+            fork_analytics::write_csv(&csv, &refs).expect("write interarrival csv");
+            fork_analytics::write_json(&json, &refs).expect("write interarrival json");
+            for s in &series {
+                let n: f64 = s.points.iter().map(|(_, v)| v).sum();
+                println!(
+                    "{}: {} samples across {} log2 buckets",
+                    s.label,
+                    n,
+                    s.points.len()
+                );
             }
+            println!("  -> {} and {}\n", csv.display(), json.display());
         }
     }
 
@@ -894,17 +890,13 @@ fn main() {
         let warm_rate = pct(warm.hits - cold.hits, warm.misses - cold.misses);
         let qps = |wall: std::time::Duration| queries.len() as f64 / wall.as_secs_f64().max(1e-9);
         let lat = exec.latency_snapshot();
-        let lat_row = if lat.count == 0 {
-            "no samples (telemetry feature off)".to_string()
-        } else {
-            format!(
-                "{} samples, min {} us, mean {:.0} us, max {} us",
-                lat.count,
-                lat.min,
-                lat.sum as f64 / lat.count as f64,
-                lat.max
-            )
-        };
+        let lat_row = format!(
+            "{} samples, min {} us, mean {:.0} us, max {} us",
+            lat.count,
+            lat.min,
+            lat.mean(),
+            lat.max
+        );
         let rows: Vec<Vec<String>> = vec![
             vec![
                 "archive".into(),

@@ -821,7 +821,6 @@ mod tests {
         assert_eq!(store.head_hash(), block.hash());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn import_outcomes_counted_in_registry() {
         let reg = fork_telemetry::MetricsRegistry::new();

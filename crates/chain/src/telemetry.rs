@@ -5,8 +5,7 @@
 //! per process is a fine assumption), a simulation runs *many* [`ChainStore`]s
 //! — two macro chains, dozens of micro-net nodes — so chain metrics live on
 //! the store itself as shared-`Arc` handles. A store starts *detached*
-//! (counting into private, unobserved metrics — free when the `telemetry`
-//! feature is off, cheap when on) and can be attached to a
+//! (counting into private, unobserved metrics) and can be attached to a
 //! [`MetricsRegistry`] under a name prefix with
 //! [`ChainStore::with_telemetry`], after which the registry's snapshots see
 //! its totals.
@@ -110,8 +109,8 @@ impl ChainTracer {
         }
     }
 
-    /// Whether emits reach an active sink (false when detached, when the
-    /// sink was constructed disabled, or when the feature is off).
+    /// Whether emits reach an active sink (false when detached or when the
+    /// sink was constructed disabled).
     pub fn is_active(&self) -> bool {
         match &self.sink {
             Some((s, _)) => s.is_active(),
@@ -144,7 +143,6 @@ impl ChainTracer {
 }
 
 #[cfg(test)]
-#[cfg(feature = "telemetry")]
 mod tests {
     use super::*;
 

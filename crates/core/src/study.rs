@@ -271,8 +271,7 @@ pub struct StudyResult {
     /// Window end.
     pub end: SimTime,
     /// The engine's telemetry at the end of the run: step-phase spans, both
-    /// stores' import counters/timings, sink throughput. Empty when the
-    /// `telemetry` feature is off.
+    /// stores' import counters/timings, sink throughput.
     pub telemetry: fork_telemetry::Snapshot,
 }
 
@@ -365,9 +364,8 @@ impl StudyResult {
 
     /// Block inter-arrival distributions (`meso.interarrival.{eth,etc}`
     /// telemetry histograms) as figure-style series: x is each occupied
-    /// log2 bucket's lower bound in seconds, y its block count. Empty when
-    /// telemetry is compiled out (and for archive replays, which carry no
-    /// engine histograms).
+    /// log2 bucket's lower bound in seconds, y its block count. Empty for
+    /// archive replays, which carry no engine histograms.
     pub fn interarrival_series(&self) -> Vec<TimeSeries> {
         let mut out = Vec::new();
         for (name, label) in [
@@ -625,7 +623,6 @@ mod tests {
                 "ETH:ETC",
             )
         );
-        #[cfg(feature = "telemetry")]
         for (i, name) in ["meso.interarrival.eth", "meso.interarrival.etc"]
             .into_iter()
             .enumerate()
@@ -644,7 +641,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn interarrival_series_present_with_telemetry() {
         let result = ForkStudy::quick(3).run();

@@ -2,10 +2,8 @@
 //! gas-used histogram.
 //!
 //! The interpreter's inner loop is the hottest code in the workspace, so the
-//! counters are crate-level `static`s (one relaxed atomic increment per
-//! dispatched instruction when the `telemetry` feature is on, nothing at all
-//! when it is off — the no-op [`Counter`] methods are `#[inline(always)]`
-//! empty bodies). No signature in the interpreter changes either way.
+//! counters are crate-level `static`s: one relaxed atomic increment per
+//! dispatched instruction, and no interpreter signature carries a registry.
 //!
 //! Consumers pull the totals with [`snapshot_into`] (names are prefixed
 //! `evm.`) and may [`reset`] between runs.
@@ -79,7 +77,6 @@ pub fn reset() {
 }
 
 #[cfg(test)]
-#[cfg(feature = "telemetry")]
 mod tests {
     use super::*;
 

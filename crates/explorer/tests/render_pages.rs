@@ -8,11 +8,12 @@ use std::path::{Path, PathBuf};
 
 use fork_analytics::{BlockRecord, TxRecord};
 use fork_archive::{ArchiveConfig, ArchiveWriter, Codec};
-use fork_explorer::{ops_html, ops_json, parse_ops_json, render_site, ExplorerSource, SCHEMA};
+use fork_explorer::{ops_html, ops_json, parse_ops_json, render_site, ExplorerSource};
 use fork_primitives::{Address, H256, U256};
 use fork_replay::Side;
 use fork_serve::{ServeConfig, Server};
 use fork_sim::LedgerSink;
+use fork_telemetry::json::Value;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -93,19 +94,28 @@ fn rendering_is_deterministic_and_identical_local_or_served() {
     ] {
         assert!(bytes_a.contains_key(page), "missing page {page}");
     }
+    // Every JSON page parses and carries the schema tag and a page name.
     for (name, bytes) in &bytes_a {
         if name.ends_with(".json") {
-            let text = std::str::from_utf8(bytes).unwrap();
-            assert!(
-                text.contains(&format!("\"schema\": \"{SCHEMA}\"")),
-                "{name} lacks the schema marker"
-            );
+            let doc = Value::parse(std::str::from_utf8(bytes).unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(doc["schema"].as_str(), Some("fork-explorer/v1"), "{name}");
+            assert!(doc.get("page").is_some(), "{name} lacks a page key");
         }
     }
+    let overview = Value::parse(std::str::from_utf8(&bytes_a["overview.json"]).unwrap()).unwrap();
+    assert_eq!(overview["page"].as_str(), Some("overview"));
+    assert!(overview["archive"]["blocks"].as_u64().unwrap() > 0);
+    for side in ["eth", "etc"] {
+        assert!(
+            overview.get(side).is_some(),
+            "overview lacks the {side} side"
+        );
+    }
     // The overview names both sides' tips under stable element ids.
-    let overview = std::str::from_utf8(&bytes_a["overview.html"]).unwrap();
-    assert!(overview.contains("id=\"eth-tip\""));
-    assert!(overview.contains("id=\"etc-tip\""));
+    let overview_html = std::str::from_utf8(&bytes_a["overview.html"]).unwrap();
+    assert!(overview_html.contains("id=\"eth-tip\""));
+    assert!(overview_html.contains("id=\"etc-tip\""));
 
     // A remote source against a live daemon renders the same bytes.
     let handle = Server::start(ServeConfig::new(&arch)).expect("start daemon");

@@ -224,7 +224,6 @@ mod tests {
         assert!(f.insert(1));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_block_seen_splits_fresh_from_duplicate() {
         let sink = TraceSink::new();

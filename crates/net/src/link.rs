@@ -336,7 +336,6 @@ mod tests {
         assert_eq!(p.corrupt_chance(), 1.0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn trace_transmit_maps_plans_to_hop_events() {
         let sink = TraceSink::new();

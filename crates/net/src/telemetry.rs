@@ -2,9 +2,8 @@
 //! hit rate, and gossip fan-out histograms.
 //!
 //! Same design as `fork_evm::telemetry`: crate-level `static`s recorded with
-//! relaxed atomics when the `telemetry` feature is on, fully compiled out
-//! (empty inline no-ops) when it is off, so `seal_frame`/`open_frame` and
-//! the gossip helpers keep their exact signatures.
+//! relaxed atomics, so `seal_frame`/`open_frame` and the gossip helpers
+//! carry no registry in their signatures.
 
 use fork_telemetry::{Counter, Histogram, Snapshot};
 
@@ -103,7 +102,6 @@ pub fn reset() {
 }
 
 #[cfg(test)]
-#[cfg(feature = "telemetry")]
 mod tests {
     use super::*;
 

@@ -330,17 +330,11 @@ mod tests {
         let queries = all_queries();
         let n = queries.len() as u64;
         exec.run_batch(&pool, &queries);
-        // Whether the graph compiled telemetry in depends on feature
-        // unification (the workspace root enables it; a `-p fork-query`
-        // build does not), so accept either the live count or the no-op
-        // zero — never anything in between.
-        let lat = exec.latency_snapshot();
-        assert!(
-            lat.count == n || lat.count == 0,
-            "one latency sample per query (or none when compiled out), got {}",
-            lat.count
+        assert_eq!(
+            exec.latency_snapshot().count,
+            n,
+            "one latency sample per query"
         );
-        // Cache stats are live regardless of the telemetry feature.
         assert!(pool.cache().stats().misses > 0);
     }
 

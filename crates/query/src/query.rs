@@ -242,8 +242,7 @@ pub(crate) fn evaluate(
         Projection::InterArrival => {
             let side = query.side.expect("validated");
             // `HistogramSnapshot::record` mirrors the live histogram's
-            // bucketing without the live type, so results are identical
-            // whether or not the build enables the `enabled` feature.
+            // bucketing without its atomics.
             let mut h = HistogramSnapshot::default();
             let mut prev: Option<u64> = None;
             for item in source.stream(side, &query.range) {

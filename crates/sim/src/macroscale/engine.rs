@@ -535,8 +535,8 @@ struct Counters {
 }
 
 /// Live step-phase spans and counters, attached via
-/// [`MacroNet::attach_registry`]. All calls compile to no-ops without the
-/// `telemetry` feature, and none of them feed back into simulation state.
+/// [`MacroNet::attach_registry`]. None of them feed back into simulation
+/// state.
 struct MacroSpans {
     step: Arc<SpanStats>,
     merge: Arc<SpanStats>,
@@ -976,8 +976,8 @@ impl MacroNet {
     }
 
     /// The run's counters as a telemetry snapshot (`macro.*` names).
-    /// Built from the engine's own counters — exact and deterministic
-    /// regardless of the `telemetry` feature, like the micro engine's.
+    /// Built from the engine's own counters — exact and deterministic, like
+    /// the micro engine's.
     pub fn telemetry_snapshot(&self) -> fork_telemetry::Snapshot {
         let mut snap = fork_telemetry::Snapshot::default();
         let c = &self.counters;
@@ -1014,8 +1014,6 @@ impl MacroNet {
             if delays.is_empty() {
                 continue;
             }
-            // A plain-data histogram, so it exports identically with the
-            // feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
             for &v in delays.iter() {
                 h.record(u64::from(v));

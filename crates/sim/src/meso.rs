@@ -632,8 +632,7 @@ impl TwoChainEngine {
     }
 
     /// The engine's metrics registry: per-phase step spans plus both stores'
-    /// import counters and timings. Empty when the `telemetry` feature is
-    /// off.
+    /// import counters and timings.
     pub fn telemetry(&self) -> &Arc<MetricsRegistry> {
         &self.telemetry
     }

@@ -1525,7 +1525,7 @@ impl MicroNet {
 
     /// The run's gossip and consensus counters as a telemetry snapshot
     /// (`micro.*` names). Built from the event loop's own counters, so it is
-    /// exact and deterministic regardless of the `telemetry` feature.
+    /// exact and deterministic.
     pub fn telemetry_snapshot(&self) -> fork_telemetry::Snapshot {
         const TAG_NAMES: [&str; 10] = [
             "status",
@@ -1577,8 +1577,6 @@ impl MicroNet {
             }
         }
         if !r.recovery_ms.is_empty() {
-            // A plain-data histogram, so recovery times export identically
-            // with the `telemetry` feature on or off.
             let mut h = fork_telemetry::HistogramSnapshot::default();
             for &v in &r.recovery_ms {
                 h.record(v);
@@ -2322,6 +2320,15 @@ mod tests {
         let first = MicroNet::new(config.clone()).run();
         for _ in 0..3 {
             assert_eq!(MicroNet::new(config.clone()).run(), first);
+        }
+        // Partitions, heals and never-healed splits walk other maps; each
+        // atlas plan runs twice in this process and must agree.
+        let mut atlas = crate::scenario::atlas_presets(2);
+        atlas.push(crate::scenario::atlas_never_healed(2));
+        for preset in atlas {
+            let first = MicroNet::new(preset.config.clone()).run();
+            let second = MicroNet::new(preset.config).run();
+            assert_eq!(first, second, "{} repeats differently", preset.name);
         }
     }
 

@@ -187,7 +187,6 @@ mod tests {
         assert_eq!(sink.inner.totals(Side::Eth).0, 2, "records pass through");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn metered_sink_feeds_registry_per_side() {
         let reg = fork_telemetry::MetricsRegistry::new();

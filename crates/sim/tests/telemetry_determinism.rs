@@ -51,7 +51,6 @@ fn chaos_run_telemetry_is_deterministic() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_json_carries_engine_metrics() {
     let json = run_json(11);

@@ -4,9 +4,6 @@
 //! tests that parse JSON go through this module. Objects preserve insertion
 //! order; numbers are `f64` (integers round-trip exactly up to 2^53, which
 //! covers everything the figure and telemetry exports emit).
-//!
-//! This module is always compiled — it carries no instrumentation and is
-//! independent of the `enabled` feature.
 
 use std::fmt;
 

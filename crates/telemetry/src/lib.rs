@@ -11,25 +11,14 @@
 //!   breakdowns;
 //! - [`MetricsRegistry`] — a name → metric map producing a plain-data
 //!   [`Snapshot`] that renders as a human table or machine-readable JSON;
-//! - [`json`] — a tiny JSON value/parser/writer module used for all exports
-//!   (always compiled, independent of the feature flag);
+//! - [`json`] — a tiny JSON value/parser/writer module used for all exports;
 //! - [`SeriesRing`] — a plain-data, fixed-capacity time-series ring of
-//!   sampled gauges (always compiled), plus [`prometheus_text`] rendering a
+//!   sampled gauges, plus [`prometheus_text`] rendering a
 //!   [`Snapshot`] in the Prometheus text exposition format;
 //! - [`TraceSink`] / [`FlightRecorder`] — structured block-lifecycle
 //!   tracing on simulated time (Chrome-trace exportable, deterministic per
 //!   seed) with a bounded last-N-per-node flight recorder for chaos
 //!   post-mortems.
-//!
-//! # Feature flag
-//!
-//! Everything except [`json`] and the plain-data snapshot types sits behind
-//! the `enabled` feature (on by default). With the feature off, the same API
-//! compiles to zero-sized no-ops: counters don't touch memory, spans don't
-//! read the clock, and registries return empty snapshots. Downstream crates
-//! expose their own `telemetry` feature forwarding to
-//! `fork-telemetry/enabled` so `--no-default-features` builds prove the off
-//! path costs nothing.
 //!
 //! # Ownership model
 //!
@@ -41,18 +30,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod diff;
+mod diff;
 pub mod json;
 mod metrics;
-pub mod recorder;
+mod recorder;
 mod registry;
 mod snapshot;
 mod span;
-pub mod timeseries;
-pub mod trace;
+mod timeseries;
+mod trace;
 
-pub use diff::{diff_snapshots, render_diff, SnapshotDiff};
+pub use diff::{diff_snapshots, render_diff, MetricDelta, SnapshotDiff};
 pub use metrics::{bucket_index, bucket_range, Counter, Gauge, Histogram, BUCKETS};
 pub use recorder::{FlightDump, FlightRecorder};
 pub use registry::MetricsRegistry;
@@ -63,8 +53,3 @@ pub use trace::{
     chrome_trace_json, propagation_rows, BlockTag, PropagationRow, TraceEvent, TraceEventKind,
     TraceSink, NO_BLOCK,
 };
-
-/// `true` when the `enabled` feature is compiled in (instrumentation live).
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
-}

@@ -4,248 +4,157 @@
 //! use relaxed atomics: readers only ever see totals via [`Histogram::snapshot`]
 //! and friends, so no ordering stronger than `Relaxed` is needed.
 
+use crate::snapshot::HistogramSnapshot;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i` (1..=64)
 /// holds values in `[2^(i-1), 2^i)`.
 pub const BUCKETS: usize = 65;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::BUCKETS;
-    use crate::snapshot::HistogramSnapshot;
-    use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+/// A monotonically increasing event count.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
-    /// A monotonically increasing event count.
-    #[derive(Debug, Default)]
-    pub struct Counter(AtomicU64);
-
-    impl Counter {
-        /// New counter at zero (usable in `static` initialisers).
-        pub const fn new() -> Self {
-            Counter(AtomicU64::new(0))
-        }
-
-        /// Adds one.
-        #[inline]
-        pub fn incr(&self) {
-            self.0.fetch_add(1, Relaxed);
-        }
-
-        /// Adds `n`.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.0.fetch_add(n, Relaxed);
-        }
-
-        /// Current total.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.load(Relaxed)
-        }
-
-        /// Back to zero.
-        pub fn reset(&self) {
-            self.0.store(0, Relaxed);
-        }
+impl Counter {
+    /// New counter at zero (usable in `static` initialisers).
+    pub const fn new() -> Self {
+        Counter(AtomicU64::new(0))
     }
 
-    /// A signed instantaneous value (queue depths, balances).
-    #[derive(Debug, Default)]
-    pub struct Gauge(AtomicI64);
-
-    impl Gauge {
-        /// New gauge at zero (usable in `static` initialisers).
-        pub const fn new() -> Self {
-            Gauge(AtomicI64::new(0))
-        }
-
-        /// Overwrites the value.
-        #[inline]
-        pub fn set(&self, v: i64) {
-            self.0.store(v, Relaxed);
-        }
-
-        /// Adds `delta` (may be negative).
-        #[inline]
-        pub fn add(&self, delta: i64) {
-            self.0.fetch_add(delta, Relaxed);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> i64 {
-            self.0.load(Relaxed)
-        }
-
-        /// Back to zero.
-        pub fn reset(&self) {
-            self.0.store(0, Relaxed);
-        }
+    /// Adds one.
+    #[inline]
+    pub fn incr(&self) {
+        self.0.fetch_add(1, Relaxed);
     }
 
-    /// Fixed-bucket log2 histogram of `u64` samples.
-    ///
-    /// 65 buckets cover the full `u64` domain, so recording never saturates
-    /// or clips; merges of snapshots are exact (bucket-wise sums).
-    #[derive(Debug)]
-    pub struct Histogram {
-        count: AtomicU64,
-        sum: AtomicU64,
-        min: AtomicU64,
-        max: AtomicU64,
-        buckets: [AtomicU64; BUCKETS],
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
     }
 
-    impl Default for Histogram {
-        fn default() -> Self {
-            Self::new()
-        }
+    /// Current total.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
     }
 
-    impl Histogram {
-        /// New empty histogram (usable in `static` initialisers).
-        pub const fn new() -> Self {
-            Histogram {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-                buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            }
-        }
-
-        /// Records one sample.
-        #[inline]
-        pub fn record(&self, v: u64) {
-            self.count.fetch_add(1, Relaxed);
-            self.sum.fetch_add(v, Relaxed);
-            self.min.fetch_min(v, Relaxed);
-            self.max.fetch_max(v, Relaxed);
-            self.buckets[super::bucket_index(v)].fetch_add(1, Relaxed);
-        }
-
-        /// Plain-data copy of the current state.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            let count = self.count.load(Relaxed);
-            let mut buckets = [0u64; BUCKETS];
-            for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-                *out = b.load(Relaxed);
-            }
-            HistogramSnapshot {
-                count,
-                sum: self.sum.load(Relaxed),
-                min: if count == 0 {
-                    0
-                } else {
-                    self.min.load(Relaxed)
-                },
-                max: self.max.load(Relaxed),
-                buckets,
-            }
-        }
-
-        /// Back to empty.
-        pub fn reset(&self) {
-            self.count.store(0, Relaxed);
-            self.sum.store(0, Relaxed);
-            self.min.store(u64::MAX, Relaxed);
-            self.max.store(0, Relaxed);
-            for b in &self.buckets {
-                b.store(0, Relaxed);
-            }
-        }
+    /// Back to zero.
+    pub fn reset(&self) {
+        self.0.store(0, Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use crate::snapshot::HistogramSnapshot;
+/// A signed instantaneous value (queue depths, balances).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicI64);
 
-    /// No-op counter (telemetry compiled out).
-    #[derive(Debug, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// New counter (no state).
-        pub const fn new() -> Self {
-            Counter
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
+impl Gauge {
+    /// New gauge at zero (usable in `static` initialisers).
+    pub const fn new() -> Self {
+        Gauge(AtomicI64::new(0))
     }
 
-    /// No-op gauge (telemetry compiled out).
-    #[derive(Debug, Default)]
-    pub struct Gauge;
-
-    impl Gauge {
-        /// New gauge (no state).
-        pub const fn new() -> Self {
-            Gauge
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set(&self, _v: i64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _delta: i64) {}
-
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self) -> i64 {
-            0
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
+    /// Overwrites the value.
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.0.store(v, Relaxed);
     }
 
-    /// No-op histogram (telemetry compiled out).
-    #[derive(Debug, Default)]
-    pub struct Histogram;
+    /// Adds `delta` (may be negative).
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Relaxed);
+    }
 
-    impl Histogram {
-        /// New histogram (no state).
-        pub const fn new() -> Self {
-            Histogram
-        }
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> i64 {
+        self.0.load(Relaxed)
+    }
 
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _v: u64) {}
-
-        /// Always empty.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::default()
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
+    /// Back to zero.
+    pub fn reset(&self) {
+        self.0.store(0, Relaxed);
     }
 }
 
-pub use imp::{Counter, Gauge, Histogram};
+/// Fixed-bucket log2 histogram of `u64` samples.
+///
+/// 65 buckets cover the full `u64` domain, so recording never saturates
+/// or clips; merges of snapshots are exact (bucket-wise sums).
+#[derive(Debug)]
+pub struct Histogram {
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Histogram {
+    /// New empty histogram (usable in `static` initialisers).
+    pub const fn new() -> Self {
+        Histogram {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+        }
+    }
+
+    /// Records one sample.
+    #[inline]
+    pub fn record(&self, v: u64) {
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
+        self.min.fetch_min(v, Relaxed);
+        self.max.fetch_max(v, Relaxed);
+        self.buckets[super::bucket_index(v)].fetch_add(1, Relaxed);
+    }
+
+    /// Plain-data copy of the current state.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let count = self.count.load(Relaxed);
+        let mut buckets = [0u64; BUCKETS];
+        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
+            *out = b.load(Relaxed);
+        }
+        HistogramSnapshot {
+            count,
+            sum: self.sum.load(Relaxed),
+            min: if count == 0 {
+                0
+            } else {
+                self.min.load(Relaxed)
+            },
+            max: self.max.load(Relaxed),
+            buckets,
+        }
+    }
+
+    /// Back to empty.
+    pub fn reset(&self) {
+        self.count.store(0, Relaxed);
+        self.sum.store(0, Relaxed);
+        self.min.store(u64::MAX, Relaxed);
+        self.max.store(0, Relaxed);
+        for b in &self.buckets {
+            b.store(0, Relaxed);
+        }
+    }
+}
 
 /// Bucket for a sample: 0 for zero, else `64 - leading_zeros` (so bucket `i`
 /// spans `[2^(i-1), 2^i)`). Public so downstream consumers (fork-query's
-/// archive-derived histograms) can bucket identically to [`Histogram`]
-/// without depending on the `enabled` feature.
+/// archive-derived histograms) can bucket identically to [`Histogram`].
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
@@ -277,49 +186,44 @@ mod tests {
         assert!(bucket_index(u64::MAX) < BUCKETS);
     }
 
-    #[cfg(feature = "enabled")]
-    mod enabled {
-        use crate::{Counter, Gauge, Histogram};
+    #[test]
+    fn counter_semantics() {
+        let c = Counter::new();
+        assert_eq!(c.get(), 0);
+        c.incr();
+        c.add(41);
+        assert_eq!(c.get(), 42);
+        c.reset();
+        assert_eq!(c.get(), 0);
+    }
 
-        #[test]
-        fn counter_semantics() {
-            let c = Counter::new();
-            assert_eq!(c.get(), 0);
-            c.incr();
-            c.add(41);
-            assert_eq!(c.get(), 42);
-            c.reset();
-            assert_eq!(c.get(), 0);
-        }
+    #[test]
+    fn gauge_semantics() {
+        let g = Gauge::new();
+        g.set(10);
+        g.add(-25);
+        assert_eq!(g.get(), -15);
+        g.reset();
+        assert_eq!(g.get(), 0);
+    }
 
-        #[test]
-        fn gauge_semantics() {
-            let g = Gauge::new();
-            g.set(10);
-            g.add(-25);
-            assert_eq!(g.get(), -15);
-            g.reset();
-            assert_eq!(g.get(), 0);
+    #[test]
+    fn histogram_records_and_snapshots() {
+        let h = Histogram::new();
+        assert_eq!(h.snapshot().min, 0, "empty histogram reports min 0");
+        for v in [0u64, 1, 3, 1000, u64::MAX] {
+            h.record(v);
         }
-
-        #[test]
-        fn histogram_records_and_snapshots() {
-            let h = Histogram::new();
-            assert_eq!(h.snapshot().min, 0, "empty histogram reports min 0");
-            for v in [0u64, 1, 3, 1000, u64::MAX] {
-                h.record(v);
-            }
-            let s = h.snapshot();
-            assert_eq!(s.count, 5);
-            assert_eq!(s.min, 0);
-            assert_eq!(s.max, u64::MAX);
-            assert_eq!(
-                s.sum,
-                0u64.wrapping_add(1 + 3 + 1000).wrapping_add(u64::MAX)
-            );
-            assert_eq!(s.buckets.iter().sum::<u64>(), 5);
-            h.reset();
-            assert_eq!(h.snapshot().count, 0);
-        }
+        let s = h.snapshot();
+        assert_eq!(s.count, 5);
+        assert_eq!(s.min, 0);
+        assert_eq!(s.max, u64::MAX);
+        assert_eq!(
+            s.sum,
+            0u64.wrapping_add(1 + 3 + 1000).wrapping_add(u64::MAX)
+        );
+        assert_eq!(s.buckets.iter().sum::<u64>(), 5);
+        h.reset();
+        assert_eq!(h.snapshot().count, 0);
     }
 }

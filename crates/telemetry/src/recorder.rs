@@ -8,9 +8,6 @@
 //! [`FlightRecorder::dump`] freezes that view into a [`FlightDump`], which
 //! call sites annotate with the run's telemetry [`Snapshot`] and render
 //! next to the violation message.
-//!
-//! These are plain-data types — always compiled, no feature gate — so dump
-//! handling code works identically whether tracing is live or not.
 
 use crate::snapshot::Snapshot;
 use crate::trace::{hex_tag, TraceEvent, NO_BLOCK};

@@ -7,155 +7,103 @@
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::Snapshot;
 use crate::span::SpanStats;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
+/// A set of named metrics with snapshot/reset over the whole set.
+#[derive(Debug, Default)]
+pub struct MetricsRegistry {
+    inner: Mutex<Inner>,
+}
 
-    /// A set of named metrics with snapshot/reset over the whole set.
-    #[derive(Debug, Default)]
-    pub struct MetricsRegistry {
-        inner: Mutex<Inner>,
+#[derive(Debug, Default)]
+struct Inner {
+    counters: BTreeMap<String, Arc<Counter>>,
+    gauges: BTreeMap<String, Arc<Gauge>>,
+    histograms: BTreeMap<String, Arc<Histogram>>,
+    spans: BTreeMap<String, Arc<SpanStats>>,
+}
+
+impl MetricsRegistry {
+    /// New empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[derive(Debug, Default)]
-    struct Inner {
-        counters: BTreeMap<String, Arc<Counter>>,
-        gauges: BTreeMap<String, Arc<Gauge>>,
-        histograms: BTreeMap<String, Arc<Histogram>>,
-        spans: BTreeMap<String, Arc<SpanStats>>,
+    /// Gets or creates the counter `name`. Cache the `Arc` on hot paths.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        let mut inner = self.inner.lock().unwrap();
+        Arc::clone(
+            inner
+                .counters
+                .entry(name.to_owned())
+                .or_insert_with(|| Arc::new(Counter::new())),
+        )
     }
 
-    impl MetricsRegistry {
-        /// New empty registry.
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// Gets or creates the gauge `name`.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        let mut inner = self.inner.lock().unwrap();
+        Arc::clone(
+            inner
+                .gauges
+                .entry(name.to_owned())
+                .or_insert_with(|| Arc::new(Gauge::new())),
+        )
+    }
 
-        /// Gets or creates the counter `name`. Cache the `Arc` on hot paths.
-        pub fn counter(&self, name: &str) -> Arc<Counter> {
-            let mut inner = self.inner.lock().unwrap();
-            Arc::clone(
-                inner
-                    .counters
-                    .entry(name.to_owned())
-                    .or_insert_with(|| Arc::new(Counter::new())),
-            )
-        }
+    /// Gets or creates the histogram `name`.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        let mut inner = self.inner.lock().unwrap();
+        Arc::clone(
+            inner
+                .histograms
+                .entry(name.to_owned())
+                .or_insert_with(|| Arc::new(Histogram::new())),
+        )
+    }
 
-        /// Gets or creates the gauge `name`.
-        pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-            let mut inner = self.inner.lock().unwrap();
-            Arc::clone(
-                inner
-                    .gauges
-                    .entry(name.to_owned())
-                    .or_insert_with(|| Arc::new(Gauge::new())),
-            )
-        }
+    /// Gets or creates the span stats `name`.
+    pub fn span(&self, name: &str) -> Arc<SpanStats> {
+        let mut inner = self.inner.lock().unwrap();
+        Arc::clone(
+            inner
+                .spans
+                .entry(name.to_owned())
+                .or_insert_with(|| Arc::new(SpanStats::new())),
+        )
+    }
 
-        /// Gets or creates the histogram `name`.
-        pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-            let mut inner = self.inner.lock().unwrap();
-            Arc::clone(
-                inner
-                    .histograms
-                    .entry(name.to_owned())
-                    .or_insert_with(|| Arc::new(Histogram::new())),
-            )
+    /// Freezes the current state of every registered metric.
+    pub fn snapshot(&self) -> Snapshot {
+        let inner = self.inner.lock().unwrap();
+        let mut snap = Snapshot::default();
+        for (name, c) in &inner.counters {
+            snap.counters.insert(name.clone(), c.get());
         }
+        for (name, g) in &inner.gauges {
+            snap.gauges.insert(name.clone(), g.get());
+        }
+        for (name, h) in &inner.histograms {
+            snap.histograms.insert(name.clone(), h.snapshot());
+        }
+        for (name, s) in &inner.spans {
+            snap.spans.insert(name.clone(), s.snapshot());
+        }
+        snap
+    }
 
-        /// Gets or creates the span stats `name`.
-        pub fn span(&self, name: &str) -> Arc<SpanStats> {
-            let mut inner = self.inner.lock().unwrap();
-            Arc::clone(
-                inner
-                    .spans
-                    .entry(name.to_owned())
-                    .or_insert_with(|| Arc::new(SpanStats::new())),
-            )
-        }
-
-        /// Freezes the current state of every registered metric.
-        pub fn snapshot(&self) -> Snapshot {
-            let inner = self.inner.lock().unwrap();
-            let mut snap = Snapshot::default();
-            for (name, c) in &inner.counters {
-                snap.counters.insert(name.clone(), c.get());
-            }
-            for (name, g) in &inner.gauges {
-                snap.gauges.insert(name.clone(), g.get());
-            }
-            for (name, h) in &inner.histograms {
-                snap.histograms.insert(name.clone(), h.snapshot());
-            }
-            for (name, s) in &inner.spans {
-                snap.spans.insert(name.clone(), s.snapshot());
-            }
-            snap
-        }
-
-        /// Zeroes every registered metric (registrations survive).
-        pub fn reset(&self) {
-            let inner = self.inner.lock().unwrap();
-            inner.counters.values().for_each(|c| c.reset());
-            inner.gauges.values().for_each(|g| g.reset());
-            inner.histograms.values().for_each(|h| h.reset());
-            inner.spans.values().for_each(|s| s.reset());
-        }
+    /// Zeroes every registered metric (registrations survive).
+    pub fn reset(&self) {
+        let inner = self.inner.lock().unwrap();
+        inner.counters.values().for_each(|c| c.reset());
+        inner.gauges.values().for_each(|g| g.reset());
+        inner.histograms.values().for_each(|h| h.reset());
+        inner.spans.values().for_each(|s| s.reset());
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::*;
-
-    /// No-op registry (telemetry compiled out).
-    #[derive(Debug, Default)]
-    pub struct MetricsRegistry;
-
-    impl MetricsRegistry {
-        /// New registry (no state).
-        pub fn new() -> Self {
-            MetricsRegistry
-        }
-
-        /// Returns a fresh no-op counter.
-        pub fn counter(&self, _name: &str) -> Arc<Counter> {
-            Arc::new(Counter::new())
-        }
-
-        /// Returns a fresh no-op gauge.
-        pub fn gauge(&self, _name: &str) -> Arc<Gauge> {
-            Arc::new(Gauge::new())
-        }
-
-        /// Returns a fresh no-op histogram.
-        pub fn histogram(&self, _name: &str) -> Arc<Histogram> {
-            Arc::new(Histogram::new())
-        }
-
-        /// Returns fresh no-op span stats.
-        pub fn span(&self, _name: &str) -> Arc<SpanStats> {
-            Arc::new(SpanStats::new())
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> Snapshot {
-            Snapshot::default()
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
-    }
-}
-
-pub use imp::MetricsRegistry;
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,8 +1,7 @@
 //! Plain-data snapshots of metrics, with merge, table, and JSON export.
 //!
-//! These types are always compiled (no feature gate): they carry no atomics
-//! and exist so results can flow through APIs (`StudyResult`, figure tools)
-//! regardless of whether live instrumentation is on.
+//! These types carry no atomics and exist so results can flow through APIs
+//! (`StudyResult`, figure tools) without holding live metrics.
 
 use crate::metrics::{bucket_index, bucket_range, BUCKETS};
 use std::collections::BTreeMap;
@@ -63,8 +62,7 @@ impl HistogramSnapshot {
     }
 
     /// Records one sample into this plain-data snapshot, with the same
-    /// bucketing as the live `Histogram::record`. Unlike the live type this
-    /// works in every build (no `enabled` feature), so client-side latency
+    /// bucketing as the live `Histogram::record`, so client-side latency
     /// collection and archive-derived histograms share one code path with
     /// server-side metrics.
     pub fn record(&mut self, v: u64) {
@@ -435,7 +433,6 @@ fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "enabled")]
     fn hist(samples: &[u64]) -> HistogramSnapshot {
         let h = crate::Histogram::new();
         for &s in samples {
@@ -547,7 +544,6 @@ mod tests {
         assert_eq!(h.buckets[bucket_index(3)], 2);
 
         // record() agrees with what the live histogram would have produced.
-        #[cfg(feature = "enabled")]
         assert_eq!(h, hist(&[0, 1, 3, 3, 1000, 7]));
     }
 
@@ -656,7 +652,6 @@ mod tests {
         assert_eq!(snap.render_table(), "(no metrics recorded)\n");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn histogram_merge_preserves_shape() {
         let mut a = hist(&[1, 5, 5, 1000]);
@@ -671,18 +666,9 @@ mod tests {
         assert_eq!(a.buckets.iter().sum::<u64>(), 7);
     }
 
-    #[cfg(feature = "enabled")]
     mod proptests {
-        use super::super::HistogramSnapshot;
+        use super::hist;
         use proptest::prelude::*;
-
-        fn hist(samples: &[u64]) -> HistogramSnapshot {
-            let h = crate::Histogram::new();
-            for &s in samples {
-                h.record(s);
-            }
-            h.snapshot()
-        }
 
         proptest! {
             #[test]

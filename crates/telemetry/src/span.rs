@@ -7,127 +7,85 @@
 //! time (`total - child`) per phase without the phases knowing about each
 //! other.
 
+use crate::snapshot::SpanSnapshot;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Instant;
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use crate::snapshot::SpanSnapshot;
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Arc;
-    use std::time::Instant;
+thread_local! {
+    static SPAN_STACK: RefCell<Vec<Arc<SpanStats>>> = const { RefCell::new(Vec::new()) };
+}
 
-    thread_local! {
-        static SPAN_STACK: RefCell<Vec<Arc<SpanStats>>> = const { RefCell::new(Vec::new()) };
-    }
+/// Accumulated timings for one named phase.
+#[derive(Debug, Default)]
+pub struct SpanStats {
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    child_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
 
-    /// Accumulated timings for one named phase.
-    #[derive(Debug, Default)]
-    pub struct SpanStats {
-        count: AtomicU64,
-        total_ns: AtomicU64,
-        child_ns: AtomicU64,
-        max_ns: AtomicU64,
-    }
-
-    impl SpanStats {
-        /// New empty stats (usable in `static` initialisers).
-        pub const fn new() -> Self {
-            SpanStats {
-                count: AtomicU64::new(0),
-                total_ns: AtomicU64::new(0),
-                child_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-            }
-        }
-
-        /// Starts a timed span; the returned guard records on drop.
-        pub fn enter(self: &Arc<Self>) -> Span {
-            SPAN_STACK.with(|stack| stack.borrow_mut().push(Arc::clone(self)));
-            Span {
-                start: Instant::now(),
-            }
-        }
-
-        /// Plain-data copy of the current state.
-        pub fn snapshot(&self) -> SpanSnapshot {
-            SpanSnapshot {
-                count: self.count.load(Relaxed),
-                total_ns: self.total_ns.load(Relaxed),
-                child_ns: self.child_ns.load(Relaxed),
-                max_ns: self.max_ns.load(Relaxed),
-            }
-        }
-
-        /// Back to empty.
-        pub fn reset(&self) {
-            self.count.store(0, Relaxed);
-            self.total_ns.store(0, Relaxed);
-            self.child_ns.store(0, Relaxed);
-            self.max_ns.store(0, Relaxed);
+impl SpanStats {
+    /// New empty stats (usable in `static` initialisers).
+    pub const fn new() -> Self {
+        SpanStats {
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            child_ns: AtomicU64::new(0),
+            max_ns: AtomicU64::new(0),
         }
     }
 
-    /// Guard for an in-flight span; records its elapsed time when dropped.
-    #[derive(Debug)]
-    pub struct Span {
-        start: Instant,
+    /// Starts a timed span; the returned guard records on drop.
+    pub fn enter(self: &Arc<Self>) -> Span {
+        SPAN_STACK.with(|stack| stack.borrow_mut().push(Arc::clone(self)));
+        Span {
+            start: Instant::now(),
+        }
     }
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let elapsed = self.start.elapsed().as_nanos() as u64;
-            SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                if let Some(stats) = stack.pop() {
-                    stats.count.fetch_add(1, Relaxed);
-                    stats.total_ns.fetch_add(elapsed, Relaxed);
-                    stats.max_ns.fetch_max(elapsed, Relaxed);
-                }
-                if let Some(parent) = stack.last() {
-                    parent.child_ns.fetch_add(elapsed, Relaxed);
-                }
-            });
+    /// Plain-data copy of the current state.
+    pub fn snapshot(&self) -> SpanSnapshot {
+        SpanSnapshot {
+            count: self.count.load(Relaxed),
+            total_ns: self.total_ns.load(Relaxed),
+            child_ns: self.child_ns.load(Relaxed),
+            max_ns: self.max_ns.load(Relaxed),
         }
+    }
+
+    /// Back to empty.
+    pub fn reset(&self) {
+        self.count.store(0, Relaxed);
+        self.total_ns.store(0, Relaxed);
+        self.child_ns.store(0, Relaxed);
+        self.max_ns.store(0, Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use crate::snapshot::SpanSnapshot;
-    use std::sync::Arc;
-
-    /// No-op span stats (telemetry compiled out).
-    #[derive(Debug, Default)]
-    pub struct SpanStats;
-
-    impl SpanStats {
-        /// New stats (no state).
-        pub const fn new() -> Self {
-            SpanStats
-        }
-
-        /// Returns an inert guard without reading the clock.
-        #[inline(always)]
-        pub fn enter(self: &Arc<Self>) -> Span {
-            Span
-        }
-
-        /// Always empty.
-        pub fn snapshot(&self) -> SpanSnapshot {
-            SpanSnapshot::default()
-        }
-
-        /// No-op.
-        pub fn reset(&self) {}
-    }
-
-    /// Inert span guard (telemetry compiled out).
-    #[derive(Debug)]
-    pub struct Span;
+/// Guard for an in-flight span; records its elapsed time when dropped.
+#[derive(Debug)]
+pub struct Span {
+    start: Instant,
 }
 
-pub use imp::{Span, SpanStats};
+impl Drop for Span {
+    fn drop(&mut self) {
+        let elapsed = self.start.elapsed().as_nanos() as u64;
+        SPAN_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            if let Some(stats) = stack.pop() {
+                stats.count.fetch_add(1, Relaxed);
+                stats.total_ns.fetch_add(elapsed, Relaxed);
+                stats.max_ns.fetch_max(elapsed, Relaxed);
+            }
+            if let Some(parent) = stack.last() {
+                parent.child_ns.fetch_add(elapsed, Relaxed);
+            }
+        });
+    }
+}
 
 /// Times `f` under `stats` and returns its result.
 pub fn timed<T>(stats: &Arc<SpanStats>, f: impl FnOnce() -> T) -> T {
@@ -135,7 +93,7 @@ pub fn timed<T>(stats: &Arc<SpanStats>, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

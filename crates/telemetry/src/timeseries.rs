@@ -1,10 +1,9 @@
 //! A fixed-capacity, 1 s-resolution time-series ring of sampled gauges,
 //! plus a Prometheus text-exposition rendering of a registry [`Snapshot`].
 //!
-//! Like the snapshot types, everything here is **plain data** and compiles
-//! with or without the `enabled` feature: a daemon samples whatever numbers
-//! it has (live metrics or zeros) into a [`SeriesRing`], and the ring itself
-//! never touches atomics or clocks. Ticks are assigned by the producer
+//! Like the snapshot types, everything here is **plain data**: a daemon
+//! samples whatever numbers it has into a [`SeriesRing`], and the ring
+//! itself never touches atomics or clocks. Ticks are assigned by the producer
 //! (`push` hands out consecutive tick numbers), so a ring decoded from the
 //! wire re-renders byte-identically to the producer's own.
 

@@ -14,13 +14,10 @@
 //! [`TraceSink::set_now`]), so a trace is exactly as deterministic as the
 //! simulation that produced it: same seed, byte-identical
 //! [`chrome_trace_json`] output.
-//!
-//! With the `enabled` feature off, [`TraceSink`] is a zero-sized type and
-//! every method is an empty inline no-op; the plain-data types in this
-//! module ([`TraceEvent`], [`chrome_trace_json`], [`propagation_rows`])
-//! stay available so exports compile either way.
 
-use crate::recorder::FlightDump;
+use crate::recorder::{FlightDump, FlightRecorder};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 /// A 32-byte block identifier (the block hash). A local alias rather than a
 /// hash type import: this crate has no dependencies by design.
@@ -104,254 +101,163 @@ pub struct TraceEvent {
     pub detail: &'static str,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{BlockTag, TraceEvent, TraceEventKind};
-    use crate::recorder::{FlightDump, FlightRecorder};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::Mutex;
+#[derive(Debug)]
+struct Inner {
+    events: Vec<TraceEvent>,
+    recorder: Option<FlightRecorder>,
+    keep_all: bool,
+    seq: u64,
+}
 
-    #[derive(Debug)]
-    struct Inner {
-        events: Vec<TraceEvent>,
-        recorder: Option<FlightRecorder>,
-        keep_all: bool,
-        seq: u64,
+/// Collects [`TraceEvent`]s. Event time comes from an internal clock the
+/// event loop advances via [`TraceSink::set_now`] — never from the wall
+/// clock, so traces are deterministic per seed.
+///
+/// An *inactive* sink ([`TraceSink::disabled`]) records nothing at the
+/// cost of one branch per call.
+#[derive(Debug)]
+pub struct TraceSink {
+    inner: Option<Mutex<Inner>>,
+    now_ms: AtomicU64,
+}
+
+impl TraceSink {
+    fn active(keep_all: bool, recorder: Option<FlightRecorder>) -> Self {
+        TraceSink {
+            inner: Some(Mutex::new(Inner {
+                events: Vec::new(),
+                recorder,
+                keep_all,
+                seq: 0,
+            })),
+            now_ms: AtomicU64::new(0),
+        }
     }
 
-    /// Collects [`TraceEvent`]s. Event time comes from an internal clock the
-    /// event loop advances via [`TraceSink::set_now`] — never from the wall
-    /// clock, so traces are deterministic per seed.
-    ///
-    /// An *inactive* sink ([`TraceSink::disabled`]) records nothing at the
-    /// cost of one branch per call; with the crate's `enabled` feature off
-    /// the whole type is a zero-sized no-op.
-    #[derive(Debug)]
-    pub struct TraceSink {
-        inner: Option<Mutex<Inner>>,
-        now_ms: AtomicU64,
+    /// An active sink retaining every event.
+    pub fn new() -> Self {
+        Self::active(true, None)
     }
 
-    impl TraceSink {
-        fn active(keep_all: bool, recorder: Option<FlightRecorder>) -> Self {
-            TraceSink {
-                inner: Some(Mutex::new(Inner {
-                    events: Vec::new(),
-                    recorder,
-                    keep_all,
-                    seq: 0,
-                })),
-                now_ms: AtomicU64::new(0),
-            }
-        }
+    /// An active sink retaining every event **and** feeding a bounded
+    /// per-node flight recorder of the given capacity.
+    pub fn with_recorder(capacity_per_node: usize) -> Self {
+        Self::active(true, Some(FlightRecorder::new(capacity_per_node)))
+    }
 
-        /// An active sink retaining every event.
-        pub fn new() -> Self {
-            Self::active(true, None)
-        }
+    /// An active sink that keeps **only** the flight recorder's bounded
+    /// ring buffers — constant memory on arbitrarily long runs.
+    pub fn recorder_only(capacity_per_node: usize) -> Self {
+        Self::active(false, Some(FlightRecorder::new(capacity_per_node)))
+    }
 
-        /// An active sink retaining every event **and** feeding a bounded
-        /// per-node flight recorder of the given capacity.
-        pub fn with_recorder(capacity_per_node: usize) -> Self {
-            Self::active(true, Some(FlightRecorder::new(capacity_per_node)))
+    /// An inactive sink: every record call returns after one branch.
+    pub fn disabled() -> Self {
+        TraceSink {
+            inner: None,
+            now_ms: AtomicU64::new(0),
         }
+    }
 
-        /// An active sink that keeps **only** the flight recorder's bounded
-        /// ring buffers — constant memory on arbitrarily long runs.
-        pub fn recorder_only(capacity_per_node: usize) -> Self {
-            Self::active(false, Some(FlightRecorder::new(capacity_per_node)))
+    /// Whether this sink records anything at all.
+    #[inline]
+    pub fn is_active(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    /// Advances the sink's clock (simulated milliseconds).
+    #[inline]
+    pub fn set_now(&self, ms: u64) {
+        self.now_ms.store(ms, Relaxed);
+    }
+
+    /// Records an event with no peer and no detail.
+    #[inline]
+    pub fn record(&self, node: u32, block: BlockTag, number: u64, kind: TraceEventKind) {
+        self.record_full(node, block, number, kind, None, "");
+    }
+
+    /// Records an event with full causal context.
+    pub fn record_full(
+        &self,
+        node: u32,
+        block: BlockTag,
+        number: u64,
+        kind: TraceEventKind,
+        peer: Option<u32>,
+        detail: &'static str,
+    ) {
+        let Some(m) = &self.inner else { return };
+        let mut inner = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.seq += 1;
+        let ev = TraceEvent {
+            at_ms: self.now_ms.load(Relaxed),
+            seq: inner.seq,
+            node,
+            block,
+            number,
+            kind,
+            peer,
+            detail,
+        };
+        if let Some(r) = inner.recorder.as_mut() {
+            r.record(&ev);
         }
-
-        /// An inactive sink: every record call returns after one branch.
-        pub fn disabled() -> Self {
-            TraceSink {
-                inner: None,
-                now_ms: AtomicU64::new(0),
-            }
+        if inner.keep_all {
+            inner.events.push(ev);
         }
+    }
 
-        /// Whether this sink records anything at all.
-        #[inline]
-        pub fn is_active(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// Advances the sink's clock (simulated milliseconds).
-        #[inline]
-        pub fn set_now(&self, ms: u64) {
-            self.now_ms.store(ms, Relaxed);
-        }
-
-        /// Records an event with no peer and no detail.
-        #[inline]
-        pub fn record(&self, node: u32, block: BlockTag, number: u64, kind: TraceEventKind) {
-            self.record_full(node, block, number, kind, None, "");
-        }
-
-        /// Records an event with full causal context.
-        pub fn record_full(
-            &self,
-            node: u32,
-            block: BlockTag,
-            number: u64,
-            kind: TraceEventKind,
-            peer: Option<u32>,
-            detail: &'static str,
-        ) {
-            let Some(m) = &self.inner else { return };
-            let mut inner = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner.seq += 1;
-            let ev = TraceEvent {
-                at_ms: self.now_ms.load(Relaxed),
-                seq: inner.seq,
-                node,
-                block,
-                number,
-                kind,
-                peer,
-                detail,
-            };
-            if let Some(r) = inner.recorder.as_mut() {
-                r.record(&ev);
-            }
-            if inner.keep_all {
-                inner.events.push(ev);
-            }
-        }
-
-        /// A copy of every retained event, in emission order.
-        pub fn events(&self) -> Vec<TraceEvent> {
-            match &self.inner {
-                Some(m) => m
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .events
-                    .clone(),
-                None => Vec::new(),
-            }
-        }
-
-        /// Number of retained events.
-        pub fn len(&self) -> usize {
-            match &self.inner {
-                Some(m) => m
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .events
-                    .len(),
-                None => 0,
-            }
-        }
-
-        /// True when no event is retained.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// The flight recorder's bounded last-N-per-node view, if this sink
-        /// carries one. The dump's telemetry snapshot slot is left empty for
-        /// the caller to fill.
-        pub fn flight_dump(&self) -> Option<FlightDump> {
-            let m = self.inner.as_ref()?;
-            m.lock()
+    /// A copy of every retained event, in emission order.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        match &self.inner {
+            Some(m) => m
+                .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .recorder
-                .as_ref()
-                .map(FlightRecorder::dump)
+                .events
+                .clone(),
+            None => Vec::new(),
         }
     }
 
-    impl Default for TraceSink {
-        fn default() -> Self {
-            Self::new()
+    /// Number of retained events.
+    pub fn len(&self) -> usize {
+        match &self.inner {
+            Some(m) => m
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .events
+                .len(),
+            None => 0,
         }
     }
-}
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{BlockTag, TraceEvent, TraceEventKind};
-    use crate::recorder::FlightDump;
+    /// True when no event is retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
-    /// No-op trace sink (tracing compiled out). Zero-sized; every method is
-    /// an empty inline stub.
-    #[derive(Debug, Default)]
-    pub struct TraceSink;
-
-    impl TraceSink {
-        /// An "active" sink — inert with the feature off.
-        pub fn new() -> Self {
-            TraceSink
-        }
-
-        /// No recorder is kept with the feature off.
-        pub fn with_recorder(_capacity_per_node: usize) -> Self {
-            TraceSink
-        }
-
-        /// No recorder is kept with the feature off.
-        pub fn recorder_only(_capacity_per_node: usize) -> Self {
-            TraceSink
-        }
-
-        /// An inactive sink.
-        pub fn disabled() -> Self {
-            TraceSink
-        }
-
-        /// Always `false` with the feature off.
-        #[inline(always)]
-        pub fn is_active(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn set_now(&self, _ms: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _node: u32, _block: BlockTag, _number: u64, _kind: TraceEventKind) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record_full(
-            &self,
-            _node: u32,
-            _block: BlockTag,
-            _number: u64,
-            _kind: TraceEventKind,
-            _peer: Option<u32>,
-            _detail: &'static str,
-        ) {
-        }
-
-        /// Always empty.
-        pub fn events(&self) -> Vec<TraceEvent> {
-            Vec::new()
-        }
-
-        /// Always zero.
-        pub fn len(&self) -> usize {
-            0
-        }
-
-        /// Always true.
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-
-        /// Always `None`.
-        pub fn flight_dump(&self) -> Option<FlightDump> {
-            None
-        }
+    /// The flight recorder's bounded last-N-per-node view, if this sink
+    /// carries one. The dump's telemetry snapshot slot is left empty for
+    /// the caller to fill.
+    pub fn flight_dump(&self) -> Option<FlightDump> {
+        let m = self.inner.as_ref()?;
+        m.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .recorder
+            .as_ref()
+            .map(FlightRecorder::dump)
     }
 }
 
-pub use imp::TraceSink;
+impl Default for TraceSink {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Lower-case hex of a block tag, `0x`-prefixed.
-pub fn hex_tag(tag: &BlockTag) -> String {
+pub(crate) fn hex_tag(tag: &BlockTag) -> String {
     let mut s = String::with_capacity(66);
     s.push_str("0x");
     for b in tag {
@@ -499,18 +405,6 @@ pub fn propagation_rows(
     rows
 }
 
-/// Attaches a telemetry snapshot to a sink's flight dump, when the sink has
-/// a recorder. Convenience for dump-on-violation call sites.
-pub fn flight_dump_with_snapshot(
-    sink: &TraceSink,
-    snapshot: crate::Snapshot,
-) -> Option<FlightDump> {
-    sink.flight_dump().map(|mut d| {
-        d.snapshot = Some(snapshot);
-        d
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,7 +415,6 @@ mod tests {
         t
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn sink_records_in_order_with_sim_time() {
         let sink = TraceSink::new();
@@ -543,7 +436,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn disabled_sink_is_inert() {
         let sink = TraceSink::disabled();
@@ -551,21 +443,6 @@ mod tests {
         sink.set_now(5);
         sink.record(0, tag(1), 1, TraceEventKind::Mined);
         assert!(sink.is_empty());
-        assert!(sink.flight_dump().is_none());
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn feature_off_sink_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<TraceSink>(), 0);
-        let sink = TraceSink::with_recorder(64);
-        assert!(!sink.is_active());
-        sink.set_now(5);
-        sink.record(0, tag(1), 1, TraceEventKind::Mined);
-        sink.record_full(1, tag(1), 1, TraceEventKind::Imported, Some(0), "x");
-        assert!(sink.is_empty());
-        assert_eq!(sink.len(), 0);
-        assert!(sink.events().is_empty());
         assert!(sink.flight_dump().is_none());
     }
 

@@ -15,6 +15,7 @@ use stick_a_fork::query::{
 };
 use stick_a_fork::replay::Side;
 use stick_a_fork::serve::{ErrorKind, RequestBody, ResponseBody, ServeClient, ServeConfig, Server};
+use stick_a_fork::telemetry::json::Value;
 use stick_a_fork::telemetry::Snapshot;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -394,12 +395,15 @@ fn load_generator_retries_overloaded_sheds_with_backoff() {
         "retries should recover the bulk of shed requests: {overall:?}"
     );
 
-    // The `fork-load/v1` report carries the retry count.
+    // The `fork-load/v1` report parses and carries the outcome, latency and
+    // retry totals.
     let json = report.to_json();
-    assert!(
-        json.contains(&format!("\"retries\": {}", overall.retries)),
-        "JSON report must carry retry counts: {json}"
-    );
+    let doc = Value::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert_eq!(doc["schema"].as_str(), Some("fork-load/v1"));
+    let doc = &doc["overall"];
+    assert!(doc["ok"].as_u64().unwrap() > 0);
+    assert!(doc["latency_us"]["p99"].as_u64().unwrap() > 0);
+    assert_eq!(doc["retries"].as_u64(), Some(overall.retries));
 }
 
 #[test]

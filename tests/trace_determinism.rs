@@ -3,8 +3,8 @@
 //! The tracing layer's contract has three legs:
 //!
 //! * **Determinism** — a trace is a pure function of the seed: the same
-//!   `trace_scenario` run twice exports byte-identical Chrome trace JSON,
-//!   across multiple seeds.
+//!   `trace_scenario` run twice exports byte-identical, well-formed Chrome
+//!   trace JSON, across multiple seeds.
 //! * **Inertness** — attaching a tracer must not perturb the simulation
 //!   (identical `MicroReport` with and without it), and a net without one
 //!   carries a disabled sink that records nothing.
@@ -12,11 +12,13 @@
 //!   forced invariant violation, a dump whose per-node rings are bounded
 //!   and end with the stamped `InvariantViolated` event.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use stick_a_fork::sim::micro::{MicroNet, MicroReport};
 use stick_a_fork::sim::scenario::{trace_scenario, TRACE_FORK_BLOCK};
 use stick_a_fork::sim::{check_side_agreement, violation_report};
+use stick_a_fork::telemetry::json::Value;
 use stick_a_fork::telemetry::{chrome_trace_json, propagation_rows, TraceEventKind, TraceSink};
 
 /// Runs the trace preset (optionally truncated) with `sink` attached.
@@ -42,7 +44,34 @@ fn same_seed_traces_are_byte_identical_across_seeds() {
             "seed {seed}: trace is non-empty"
         );
         assert_eq!(a, b, "seed {seed}: same seed, byte-identical trace");
+        assert_chrome_trace_schema(&a);
     }
+}
+
+/// The Chrome trace-event shape the viewers need: process-name metadata
+/// plus instant events, with integer, non-negative timestamps and ids.
+fn assert_chrome_trace_schema(json: &str) {
+    let doc = Value::parse(json).expect("trace is valid JSON");
+    let events = doc["traceEvents"].as_array().expect("traceEvents array");
+    assert!(
+        events.len() > 100,
+        "suspiciously small trace: {}",
+        events.len()
+    );
+    let mut phases = BTreeSet::new();
+    for ev in events {
+        assert!(ev["name"].as_str().is_some_and(|n| !n.is_empty()), "{ev:?}");
+        let ph = ev["ph"].as_str().expect("ph is a string");
+        assert!(ph == "M" || ph == "i", "unexpected phase in {ev:?}");
+        phases.insert(ph);
+        assert!(
+            ev["ts"].as_u64().is_some(),
+            "ts not a non-negative integer: {ev:?}"
+        );
+        assert!(ev["pid"].as_u64().is_some(), "pid not an integer: {ev:?}");
+        assert!(ev["tid"].as_u64().is_some(), "tid not an integer: {ev:?}");
+    }
+    assert_eq!(phases, BTreeSet::from(["M", "i"]));
 }
 
 #[test]
