@@ -1,10 +1,33 @@
 //! Blocks: header + transaction list + ommers.
 
+use std::sync::OnceLock;
+
 use fork_primitives::H256;
 use fork_rlp::{expect_fields, RlpError};
 
 use crate::header::Header;
 use crate::transaction::Transaction;
+
+/// Keccak chain `keccak(tag ‖ item₀ ‖ item₁ ‖ …)`: the commitment behind the
+/// transactions root, ommers hash and receipts root. Nearly every simulated
+/// block has an empty list, so the empty chain (`keccak(tag)`) is computed
+/// once per process into `empty`.
+pub(crate) fn keccak_chain(
+    tag: &[u8],
+    empty: &OnceLock<H256>,
+    items: impl IntoIterator<Item = H256>,
+) -> H256 {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_none() {
+        return *empty.get_or_init(|| fork_crypto::keccak256(tag));
+    }
+    let mut h = fork_crypto::Keccak256::new();
+    h.update(tag);
+    for item in items {
+        h.update(&item.0);
+    }
+    h.finalize()
+}
 
 /// A full block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,22 +52,20 @@ impl Block {
     /// **Substitution note:** Keccak chain over transaction hashes instead of
     /// a Merkle-Patricia trie; preserves "same transactions ⇔ same root".
     pub fn transactions_root(transactions: &[Transaction]) -> H256 {
-        let mut h = fork_crypto::Keccak256::new();
-        h.update(b"transactions-root/v1");
-        for tx in transactions {
-            h.update(&tx.hash().0);
-        }
-        h.finalize()
+        Self::transactions_root_of(transactions.iter().map(Transaction::hash))
+    }
+
+    /// [`Block::transactions_root`] over already-known transaction hashes, in
+    /// block order (a proposer folds its mempool's cached hashes).
+    pub fn transactions_root_of(tx_hashes: impl IntoIterator<Item = H256>) -> H256 {
+        static EMPTY: OnceLock<H256> = OnceLock::new();
+        keccak_chain(b"transactions-root/v1", &EMPTY, tx_hashes)
     }
 
     /// Commitment over the ommer headers.
     pub fn ommers_hash(ommers: &[Header]) -> H256 {
-        let mut h = fork_crypto::Keccak256::new();
-        h.update(b"ommers-hash/v1");
-        for o in ommers {
-            h.update(&o.hash().0);
-        }
-        h.finalize()
+        static EMPTY: OnceLock<H256> = OnceLock::new();
+        keccak_chain(b"ommers-hash/v1", &EMPTY, ommers.iter().map(Header::hash))
     }
 
     /// Full block RLP: `[header, [tx...], [ommer...]]`.
@@ -159,6 +180,34 @@ mod tests {
             Block::transactions_root(&b.transactions),
             Block::transactions_root(&rev)
         );
+    }
+
+    /// The streaming Keccak over a domain tag alone: an empty list's root.
+    fn streamed(tag: &[u8]) -> H256 {
+        let mut h = fork_crypto::Keccak256::new();
+        h.update(tag);
+        h.finalize()
+    }
+
+    #[test]
+    fn empty_roots_equal_streamed_domain_tags() {
+        // The first pass fills the per-process constants, the second reads
+        // them back.
+        for _ in 0..2 {
+            assert_eq!(
+                Block::transactions_root(&[]),
+                streamed(b"transactions-root/v1")
+            );
+            assert_eq!(
+                Block::transactions_root_of(std::iter::empty()),
+                streamed(b"transactions-root/v1")
+            );
+            assert_eq!(Block::ommers_hash(&[]), streamed(b"ommers-hash/v1"));
+            assert_eq!(
+                crate::receipt::receipts_root(&[]),
+                streamed(b"receipts-root/v1")
+            );
+        }
     }
 
     #[test]

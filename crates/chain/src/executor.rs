@@ -175,36 +175,25 @@ pub fn check_execution_against_header(
 
 /// Greedily selects valid transactions from `candidates` for a new block:
 /// correct nonce per sender (allowing consecutive sequences), acceptable
-/// chain id, within the remaining gas budget. Returns the selected subset in
-/// order. Used by block producers; invalid candidates are skipped, not
-/// errors.
-pub fn select_transactions(
-    state: &WorldState,
-    spec: &ChainSpec,
-    number: u64,
-    gas_limit: u64,
-    candidates: &[crate::transaction::Transaction],
-) -> Vec<crate::transaction::Transaction> {
-    let pooled: Vec<crate::transaction::PooledTx> =
-        candidates.iter().cloned().map(Into::into).collect();
-    select_transactions_pooled(state, spec, number, gas_limit, &pooled)
-}
-
-/// [`select_transactions`] over mempool entries with precomputed identity —
-/// the hot path for block producers (no signature recovery per candidate
-/// per block).
+/// chain id, within the remaining gas budget. Invalid candidates are
+/// skipped, not errors.
+///
+/// Candidates are mempool entries with precomputed identity (no signature
+/// recovery per candidate per block). Returns the indices of the selected
+/// candidates, in order, so the caller keeps each one's cached hash and
+/// sender.
 pub fn select_transactions_pooled(
     state: &WorldState,
     spec: &ChainSpec,
     number: u64,
     gas_limit: u64,
     candidates: &[crate::transaction::PooledTx],
-) -> Vec<crate::transaction::Transaction> {
+) -> Vec<usize> {
     let mut selected = Vec::new();
     let mut gas_budget = gas_limit;
     let mut next_nonce: std::collections::HashMap<Address, u64> = std::collections::HashMap::new();
 
-    for entry in candidates {
+    for (index, entry) in candidates.iter().enumerate() {
         let tx = &entry.tx;
         let Some(sender) = entry.sender else { continue };
         if !spec.accepts_chain_id(tx.chain_id, number) {
@@ -230,7 +219,7 @@ pub fn select_transactions_pooled(
         }
         gas_budget -= tx.gas_limit;
         next_nonce.insert(sender, expected + 1);
-        selected.push(tx.clone());
+        selected.push(index);
     }
     selected
 }
@@ -417,14 +406,19 @@ mod tests {
             U256::ONE,
             Some(fork_primitives::ChainId::ETH),
         );
-        let selected = select_transactions(
+        let selected = select_transactions_pooled(
             &state,
             &spec,
             10,
             4_700_000,
-            &[good0.clone(), bad_nonce, good1.clone(), bad_chain],
+            &[
+                good0.into(),
+                bad_nonce.into(),
+                good1.into(),
+                bad_chain.into(),
+            ],
         );
-        assert_eq!(selected, vec![good0, good1]);
+        assert_eq!(selected, vec![0, 2]);
     }
 
     #[test]
@@ -433,8 +427,9 @@ mod tests {
         let spec = ChainSpec::test();
         let t0 = Transaction::transfer(&kp(0), 0, kp(1).address(), U256::ONE, U256::ONE, None);
         let t1 = Transaction::transfer(&kp(0), 1, kp(1).address(), U256::ONE, U256::ONE, None);
-        let selected = select_transactions(&state, &spec, 10, 30_000, &[t0.clone(), t1]);
-        assert_eq!(selected, vec![t0], "only one 21k tx fits in 30k");
+        let selected =
+            select_transactions_pooled(&state, &spec, 10, 30_000, &[t0.into(), t1.into()]);
+        assert_eq!(selected, vec![0], "only one 21k tx fits in 30k");
     }
 
     #[test]

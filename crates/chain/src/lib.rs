@@ -32,7 +32,7 @@ pub use genesis::GenesisBuilder;
 pub use header::Header;
 pub use receipt::Receipt;
 pub use spec::{ChainSpec, DaoForkConfig, DAO_FORK_BLOCK};
-pub use store::{ChainStore, FinalizedBlock, ImportOutcome, ImportResult};
+pub use store::{ChainStore, CommittedBlock, FinalizedBlock, ImportOutcome, ImportResult};
 pub use telemetry::{ChainTracer, StoreMetrics};
 pub use transaction::Transaction;
 

@@ -1,5 +1,7 @@
 //! Transaction receipts.
 
+use std::sync::OnceLock;
+
 use fork_crypto::keccak256;
 use fork_evm::Log;
 use fork_primitives::{Address, H256};
@@ -47,12 +49,12 @@ impl Receipt {
 /// Merkle-Patricia trie; preserves "same receipts ⇔ same root" which is all
 /// the study needs (see DESIGN.md).
 pub fn receipts_root(receipts: &[Receipt]) -> H256 {
-    let mut h = fork_crypto::Keccak256::new();
-    h.update(b"receipts-root/v1");
-    for r in receipts {
-        h.update(&r.digest().0);
-    }
-    h.finalize()
+    static EMPTY: OnceLock<H256> = OnceLock::new();
+    crate::block::keccak_chain(
+        b"receipts-root/v1",
+        &EMPTY,
+        receipts.iter().map(Receipt::digest),
+    )
 }
 
 #[cfg(test)]

@@ -16,14 +16,12 @@ use fork_primitives::{Address, H256, U256};
 
 use crate::block::{body_commitments_match, Block};
 use crate::error::ChainError;
-use crate::executor::{
-    apply_block, check_execution_against_header, select_transactions, select_transactions_pooled,
-};
+use crate::executor::{apply_block, check_execution_against_header, select_transactions_pooled};
 use crate::header::Header;
 use crate::receipt::{receipts_root, Receipt};
 use crate::spec::{ChainSpec, DAO_EXTRA_DATA, DAO_EXTRA_DATA_RANGE};
 use crate::telemetry::{ChainTracer, StoreMetrics};
-use crate::transaction::Transaction;
+use crate::transaction::{PooledTx, Transaction};
 use crate::validation::{validate_header, validate_ommers, GAS_LIMIT_BOUND_DIVISOR};
 
 /// Default number of canonical blocks kept reorg-able.
@@ -68,10 +66,36 @@ pub enum ImportOutcome {
 pub struct FinalizedBlock {
     /// The finalized block.
     pub block: Block,
+    /// `block.hash()`, taken from the store's key rather than recomputed.
+    pub hash: H256,
     /// Its execution receipts.
     pub receipts: Vec<Receipt>,
     /// Total difficulty at this block.
     pub total_difficulty: U256,
+}
+
+/// A self-mined block that [`ChainStore::propose_and_commit_pooled`] made
+/// the new head.
+#[derive(Debug, Clone)]
+pub struct CommittedBlock {
+    /// The sealed block.
+    pub block: Block,
+    /// Indices of the included transactions in the candidate slice, in
+    /// block order, so the caller reuses its entries' cached hash and
+    /// sender.
+    pub included: Vec<usize>,
+    /// Blocks finalized by the head advance, oldest first.
+    pub finalized: Vec<FinalizedBlock>,
+}
+
+/// A block built on the head with the state left after it (see
+/// [`ChainStore::build`]).
+struct Built {
+    block: Block,
+    included: Vec<usize>,
+    /// The state before the block.
+    checkpoint: Checkpoint,
+    receipts: Vec<Receipt>,
 }
 
 /// Result of a successful import.
@@ -541,6 +565,7 @@ impl ChainStore {
             }
             finalized.push(FinalizedBlock {
                 block: entry.block,
+                hash: old.hash,
                 receipts: old.receipts,
                 total_difficulty: entry.total_difficulty,
             });
@@ -561,12 +586,12 @@ impl ChainStore {
 
     /// Side-chain headers eligible as ommers for a block at `number`.
     fn eligible_ommers(&self, number: u64) -> Vec<Header> {
-        let canon: HashSet<H256> = self.recent.iter().map(|e| e.hash).collect();
         let mut out = Vec::new();
         let low = number.saturating_sub(7);
-        for (_, hashes) in self.by_number.range(low..number) {
+        for (&n, hashes) in self.by_number.range(low..number) {
+            let canonical = self.canonical_hash(n);
             for h in hashes {
-                if canon.contains(h) || self.used_ommers.contains(h) {
+                if canonical == Some(*h) || self.used_ommers.contains(h) {
                     continue;
                 }
                 out.push(self.entries[h].block.header.clone());
@@ -576,6 +601,89 @@ impl ChainStore {
             }
         }
         out
+    }
+
+    /// Builds, executes and seals a block on top of the head, leaving the
+    /// state *after* it (the caller rolls back to the returned checkpoint or
+    /// commits). The one proposer body behind [`ChainStore::propose`] and
+    /// [`ChainStore::propose_and_commit_pooled`].
+    ///
+    /// Nothing is hashed twice: the parent hash is the head's store key,
+    /// the transactions root folds the candidates' cached hashes, empty
+    /// roots are per-process constants, and the seal grinds over one
+    /// absorbed preimage.
+    fn build(
+        &mut self,
+        beneficiary: Address,
+        timestamp: u64,
+        extra_data: Vec<u8>,
+        candidates: &[PooledTx],
+    ) -> Built {
+        let parent_hash = self.head_hash();
+        let parent = &self.entries[&parent_hash].block.header;
+        let number = parent.number + 1;
+        let timestamp = timestamp.max(parent.timestamp + 1);
+        let difficulty = self.spec.difficulty.next_difficulty(
+            parent.difficulty,
+            parent.timestamp,
+            timestamp,
+            number,
+        );
+        // Hold the gas limit steady (well-behaved miners in the study
+        // period); stay within the 1/1024 band by construction.
+        let gas_limit = parent
+            .gas_limit
+            .max(self.spec.min_gas_limit + GAS_LIMIT_BOUND_DIVISOR);
+
+        let select = self.metrics.propose.select.enter();
+        let extra_data = self.apply_dao_marker_rule(number, extra_data);
+        let included =
+            select_transactions_pooled(&self.state, &self.spec, number, gas_limit, candidates);
+        let ommers = self.eligible_ommers(number);
+        drop(select);
+
+        let mut block = Block {
+            header: Header {
+                parent_hash,
+                beneficiary,
+                difficulty,
+                number,
+                gas_limit,
+                timestamp,
+                extra_data,
+                ..Header::default()
+            },
+            transactions: included.iter().map(|&i| candidates[i].tx.clone()).collect(),
+            ommers,
+        };
+
+        // Provisional execution to learn the roots.
+        let execute = self.metrics.propose.execute.enter();
+        let checkpoint = self.state.checkpoint();
+        let executed = apply_block(&mut self.state, &self.spec, &block)
+            .expect("proposer selected only valid transactions");
+        drop(execute);
+
+        let roots = self.metrics.propose.roots.enter();
+        let header = &mut block.header;
+        header.transactions_root =
+            Block::transactions_root_of(included.iter().map(|&i| candidates[i].hash));
+        header.ommers_hash = Block::ommers_hash(&block.ommers);
+        header.gas_used = executed.gas_used;
+        header.state_root = self.state.state_root();
+        header.receipts_root = receipts_root(&executed.receipts);
+        drop(roots);
+
+        let _seal = self.metrics.propose.seal.enter();
+        self.seal_counter = self.seal_counter.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        crate::pow::seal(header, self.spec.pow_work_factor, self.seal_counter);
+        self.metrics.proposed.incr();
+        Built {
+            block,
+            included,
+            checkpoint,
+            receipts: executed.receipts,
+        }
     }
 
     /// Builds and seals a block on top of the head.
@@ -592,146 +700,50 @@ impl ChainStore {
         extra_data: Vec<u8>,
         candidates: &[Transaction],
     ) -> Block {
-        let parent = self.head_header().clone();
-        let number = parent.number + 1;
-        let timestamp = timestamp.max(parent.timestamp + 1);
-        let difficulty = self.spec.difficulty.next_difficulty(
-            parent.difficulty,
-            parent.timestamp,
-            timestamp,
-            number,
-        );
-        // Hold the gas limit steady (well-behaved miners in the study
-        // period); stay within the 1/1024 band by construction.
-        let gas_limit = parent
-            .gas_limit
-            .max(self.spec.min_gas_limit + GAS_LIMIT_BOUND_DIVISOR);
-
-        let extra_data = self.apply_dao_marker_rule(number, extra_data);
-        let transactions =
-            select_transactions(&self.state, &self.spec, number, gas_limit, candidates);
-        let ommers = self.eligible_ommers(number);
-
-        let mut header = Header {
-            parent_hash: parent.hash(),
-            beneficiary,
-            difficulty,
-            number,
-            gas_limit,
-            gas_used: 0,
-            timestamp,
-            extra_data,
-            transactions_root: Block::transactions_root(&transactions),
-            ommers_hash: Block::ommers_hash(&ommers),
-            ..Header::default()
-        };
-
-        // Provisional execution to learn the roots.
-        let mut block = Block {
-            header: header.clone(),
-            transactions,
-            ommers,
-        };
-        let checkpoint = self.state.checkpoint();
-        let executed = apply_block(&mut self.state, &self.spec, &block)
-            .expect("proposer selected only valid transactions");
-        header.gas_used = executed.gas_used;
-        header.state_root = self.state.state_root();
-        header.receipts_root = receipts_root(&executed.receipts);
-        self.state.rollback_to(checkpoint);
-
-        self.seal_counter = self.seal_counter.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        crate::pow::seal(&mut header, self.spec.pow_work_factor, self.seal_counter);
-        block.header = header;
-        self.metrics.proposed.incr();
-        block
+        let pooled: Vec<PooledTx> = candidates.iter().cloned().map(Into::into).collect();
+        let built = self.build(beneficiary, timestamp, extra_data, &pooled);
+        self.state.rollback_to(built.checkpoint);
+        built.block
     }
 
-    /// [`ChainStore::propose`] followed by an immediate self-import, executing the
-    /// block's transactions once instead of twice — the path a miner takes
-    /// for its own blocks. Returns the sealed block and any blocks finalized
-    /// by the head advance. Behavior (ledger, state, TD) is identical to
-    /// `propose` + `import`; the equivalence is locked by a test below.
-    pub fn propose_and_commit(
-        &mut self,
-        beneficiary: Address,
-        timestamp: u64,
-        extra_data: Vec<u8>,
-        candidates: &[Transaction],
-    ) -> (Block, Vec<FinalizedBlock>) {
-        let pooled: Vec<crate::transaction::PooledTx> =
-            candidates.iter().cloned().map(Into::into).collect();
-        self.propose_and_commit_pooled(beneficiary, timestamp, extra_data, &pooled)
-    }
-
-    /// [`ChainStore::propose_and_commit`] over cached mempool entries — the
-    /// simulation engines' hot path.
+    /// [`ChainStore::propose`] over cached mempool entries, followed by an
+    /// immediate self-import that executes the block's transactions once
+    /// instead of twice — the path a miner takes for its own blocks, and the
+    /// simulation engines' hot path. Behavior (ledger, state, TD) is
+    /// identical to `propose` + `import`; the equivalence is locked by a
+    /// test below.
     pub fn propose_and_commit_pooled(
         &mut self,
         beneficiary: Address,
         timestamp: u64,
         extra_data: Vec<u8>,
-        candidates: &[crate::transaction::PooledTx],
-    ) -> (Block, Vec<FinalizedBlock>) {
-        let parent = self.head_header().clone();
+        candidates: &[PooledTx],
+    ) -> CommittedBlock {
         let parent_td = self.head_total_difficulty();
-        let number = parent.number + 1;
-        let timestamp = timestamp.max(parent.timestamp + 1);
-        let difficulty = self.spec.difficulty.next_difficulty(
-            parent.difficulty,
-            parent.timestamp,
-            timestamp,
-            number,
-        );
-        let gas_limit = parent
-            .gas_limit
-            .max(self.spec.min_gas_limit + GAS_LIMIT_BOUND_DIVISOR);
-        let extra_data = self.apply_dao_marker_rule(number, extra_data);
-        let transactions =
-            select_transactions_pooled(&self.state, &self.spec, number, gas_limit, candidates);
-        let ommers = self.eligible_ommers(number);
-
-        let mut header = Header {
-            parent_hash: parent.hash(),
-            beneficiary,
-            difficulty,
-            number,
-            gas_limit,
-            gas_used: 0,
-            timestamp,
-            extra_data,
-            transactions_root: Block::transactions_root(&transactions),
-            ommers_hash: Block::ommers_hash(&ommers),
-            ..Header::default()
-        };
-        let mut block = Block {
-            header: header.clone(),
-            transactions,
-            ommers,
-        };
-        let checkpoint = self.state.checkpoint();
-        let executed = apply_block(&mut self.state, &self.spec, &block)
-            .expect("proposer selected only valid transactions");
-        header.gas_used = executed.gas_used;
-        header.state_root = self.state.state_root();
-        header.receipts_root = receipts_root(&executed.receipts);
-        self.seal_counter = self.seal_counter.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        crate::pow::seal(&mut header, self.spec.pow_work_factor, self.seal_counter);
-        block.header = header;
+        let Built {
+            block,
+            included,
+            checkpoint,
+            receipts,
+        } = self.build(beneficiary, timestamp, extra_data, candidates);
 
         // Commit directly: state is already post-block.
+        let _commit = self.metrics.propose.commit.enter();
         let hash = block.hash();
         let total_difficulty = parent_td.saturating_add(block.header.difficulty);
         self.insert_entry(hash, block.clone(), total_difficulty);
         self.recent.push_back(CanonEntry {
             hash,
             checkpoint,
-            receipts: executed.receipts,
+            receipts,
         });
         let finalized = self.prune();
-        self.metrics.proposed.incr();
         self.metrics.extended.incr();
-        (block, finalized)
+        CommittedBlock {
+            block,
+            included,
+            finalized,
+        }
     }
 
     fn apply_dao_marker_rule(&self, number: u64, provided: Vec<u8>) -> Vec<u8> {
@@ -847,6 +859,16 @@ mod tests {
         // before it too (unknown parent).
         assert_eq!(validate.count, 1);
         assert!(import.child_ns >= validate.total_ns);
+        // Each proposal runs every build phase once; only a self-commit
+        // runs the commit phase.
+        for phase in ["select", "execute", "roots", "seal"] {
+            assert_eq!(snap.spans[&format!("chain.test.propose.{phase}")].count, 2);
+        }
+        assert_eq!(snap.spans["chain.test.propose.commit"].count, 0);
+        store.propose_and_commit_pooled(miner(), t0 + 42, vec![], &[]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.spans["chain.test.propose.seal"].count, 3);
+        assert_eq!(snap.spans["chain.test.propose.commit"].count, 1);
     }
 
     #[test]
@@ -984,9 +1006,11 @@ mod tests {
             let block = store.propose(miner(), t, vec![], &[]);
             let result = store.import(block).unwrap();
             finalized_count += result.finalized.len();
-            // Finalized blocks arrive oldest-first and contiguously.
+            // Finalized blocks arrive oldest-first and contiguously, keyed
+            // by their own hash.
             for f in &result.finalized {
                 assert!(f.block.header.number <= i);
+                assert_eq!(f.hash, f.block.hash());
             }
         }
         // 11 canonical blocks (incl. genesis), window of 4 -> 7 finalized.
@@ -1009,6 +1033,7 @@ mod tests {
         // Numbers are contiguous ascending.
         let numbers: Vec<u64> = drained.iter().map(|f| f.block.header.number).collect();
         assert_eq!(numbers, vec![0, 1, 2, 3, 4]);
+        assert!(drained.iter().all(|f| f.hash == f.block.hash()));
     }
 
     #[test]
@@ -1100,15 +1125,12 @@ mod tests {
             );
             let b_slow = slow.propose(miner(), t, vec![], std::slice::from_ref(&tx));
             slow.import(b_slow).unwrap();
-            let (b_fast, _) = fast.propose_and_commit(miner(), t, vec![], &[tx]);
-            // The blocks themselves may differ only in their seal nonce
-            // search start; every consensus field must agree.
-            assert_eq!(b_fast.header.state_root, slow.head_header().state_root);
-            assert_eq!(b_fast.header.gas_used, slow.head_header().gas_used);
-            assert_eq!(
-                b_fast.header.receipts_root,
-                slow.head_header().receipts_root
-            );
+            let b_fast = fast
+                .propose_and_commit_pooled(miner(), t, vec![], &[tx.into()])
+                .block;
+            // One builder and the same seal counter: the blocks are
+            // identical, seal nonce included.
+            assert_eq!(&b_fast, slow.block(slow.head_hash()).unwrap());
         }
         assert_eq!(slow.head_number(), fast.head_number());
         assert_eq!(
@@ -1136,7 +1158,9 @@ mod tests {
                 U256::ONE,
                 None,
             );
-            let (block, _) = producer.propose_and_commit(miner(), t, vec![], &[tx]);
+            let committed = producer.propose_and_commit_pooled(miner(), t, vec![], &[tx.into()]);
+            assert_eq!(committed.included, vec![0]);
+            let block = committed.block;
             let result = replica.import(block).unwrap();
             assert_eq!(result.outcome, ImportOutcome::Extended);
         }

@@ -1,5 +1,5 @@
-//! Per-store chain telemetry: import outcome counters, reorg depth, and
-//! import/validation span timing.
+//! Per-store chain telemetry: import outcome counters, reorg depth,
+//! import/validation span timing, and one span per proposer phase.
 //!
 //! Unlike the crate-global counters in `fork_evm::telemetry` (one interpreter
 //! per process is a fine assumption), a simulation runs *many* [`ChainStore`]s
@@ -43,6 +43,38 @@ pub struct StoreMetrics {
     /// Wall time of header/ommer/body validation (nested inside the import
     /// span, so import self-time excludes it).
     pub validate_span: Arc<SpanStats>,
+    /// The proposer's phases, in order: transaction and ommer selection,
+    /// provisional execution, the four header roots, the PoW seal, and (for
+    /// a self-committed block) hashing and inserting it as the new head.
+    pub propose: ProposeSpans,
+}
+
+/// Wall time of each phase of building a block (`<prefix>.propose.*`).
+#[derive(Debug, Clone)]
+pub struct ProposeSpans {
+    /// Transaction selection and eligible ommers.
+    pub select: Arc<SpanStats>,
+    /// Provisional execution of the body.
+    pub execute: Arc<SpanStats>,
+    /// Transactions, ommers, state and receipts roots.
+    pub roots: Arc<SpanStats>,
+    /// Proof-of-work grind.
+    pub seal: Arc<SpanStats>,
+    /// Header hash, store insert and finalization of a self-mined block.
+    pub commit: Arc<SpanStats>,
+}
+
+impl ProposeSpans {
+    /// One span per phase, made by `span(phase_name)`.
+    fn with(mut span: impl FnMut(&str) -> Arc<SpanStats>) -> Self {
+        ProposeSpans {
+            select: span("select"),
+            execute: span("execute"),
+            roots: span("roots"),
+            seal: span("seal"),
+            commit: span("commit"),
+        }
+    }
 }
 
 impl StoreMetrics {
@@ -58,6 +90,7 @@ impl StoreMetrics {
             reorg_depth: Arc::new(Histogram::new()),
             import_span: Arc::new(SpanStats::new()),
             validate_span: Arc::new(SpanStats::new()),
+            propose: ProposeSpans::with(|_| Arc::new(SpanStats::new())),
         }
     }
 
@@ -74,6 +107,9 @@ impl StoreMetrics {
             reorg_depth: registry.histogram(&format!("{prefix}.reorg_depth")),
             import_span: registry.span(&format!("{prefix}.import")),
             validate_span: registry.span(&format!("{prefix}.validate")),
+            propose: ProposeSpans::with(|phase| {
+                registry.span(&format!("{prefix}.propose.{phase}"))
+            }),
         }
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use fork_analytics::{BlockRecord, TxRecord};
 use fork_chain::transaction::PooledTx;
-use fork_chain::{Block, ChainSpec, ChainStore, FinalizedBlock, GenesisBuilder, Transaction};
+use fork_chain::{Block, ChainSpec, ChainStore, FinalizedBlock, GenesisBuilder};
 use fork_evm::contracts as evm_contracts;
 use fork_pools::PoolSet;
 use fork_primitives::{Address, SimTime, H256, U256};
@@ -402,6 +402,7 @@ impl TwoChainEngine {
                     i,
                     FinalizedBlock {
                         block: head,
+                        hash: head_hash,
                         receipts,
                         total_difficulty: td,
                     },
@@ -447,31 +448,38 @@ impl TwoChainEngine {
         let s = self.spans.mine.enter();
         let beneficiary = self.nets[i].pools.sample_winner(&mut self.rng_pools);
         let mempool = std::mem::take(&mut self.nets[i].mempool);
-        let (block, finalized) = self.nets[i].store.propose_and_commit_pooled(
+        let committed = self.nets[i].store.propose_and_commit_pooled(
             beneficiary,
             t_sim.as_unix(),
             Vec::new(),
             &mempool,
         );
         self.summary.blocks[i] += 1;
-        self.summary.txs[i] += block.transactions.len() as u64;
+        self.summary.txs[i] += committed.included.len() as u64;
         drop(s);
 
-        // 3. Mempool upkeep: drop included transactions, keep the rest.
+        // 3. Mempool upkeep: move the included entries out (cached hash and
+        //    sender with them), keep the rest in order.
         let s = self.spans.mempool.enter();
-        let included: HashSet<H256> = block.transactions.iter().map(Transaction::hash).collect();
-        for h in &included {
-            self.nets[i].mempool_hashes.remove(h);
-        }
-        let ages = std::mem::take(&mut self.nets[i].mempool_ages);
-        for (entry, age) in mempool.into_iter().zip(ages) {
-            if !included.contains(&entry.hash) {
-                self.nets[i].mempool.push(entry);
-                self.nets[i].mempool_ages.push(age);
+        let net = &mut self.nets[i];
+        let mut included = Vec::with_capacity(committed.included.len());
+        if committed.included.is_empty() {
+            net.mempool = mempool;
+        } else {
+            let ages = std::mem::take(&mut net.mempool_ages);
+            let mut chosen = committed.included.iter().copied().peekable();
+            for (index, (entry, age)) in mempool.into_iter().zip(ages).enumerate() {
+                if chosen.next_if_eq(&index).is_some() {
+                    net.mempool_hashes.remove(&entry.hash);
+                    included.push(entry);
+                } else {
+                    net.mempool.push(entry);
+                    net.mempool_ages.push(age);
+                }
             }
         }
-        self.nets[i].blocks_since_cleanup += 1;
-        if self.nets[i].blocks_since_cleanup >= 200 {
+        net.blocks_since_cleanup += 1;
+        if net.blocks_since_cleanup >= 200 {
             self.cleanup_mempool(i);
         }
         drop(s);
@@ -482,10 +490,10 @@ impl TwoChainEngine {
         let eagerness = self.replay_eagerness.at(t_sim).clamp(0.0, 1.0);
         if eagerness > 0.0 {
             let other = 1 - i;
-            for tx in &block.transactions {
-                if tx.chain_id.is_none()
+            for entry in included {
+                if entry.tx.chain_id.is_none()
                     && self.rng_replay.gen_bool(eagerness)
-                    && self.nets[other].push_mempool(tx.clone().into())
+                    && self.nets[other].push_mempool(entry)
                 {
                     self.summary.replay_pushes += 1;
                 }
@@ -507,7 +515,7 @@ impl TwoChainEngine {
 
         // 6. Stream finalized blocks to the sink.
         let s = self.spans.emit.enter();
-        for f in finalized {
+        for f in committed.finalized {
             self.emit(i, f, sink);
         }
         drop(s);
@@ -576,7 +584,7 @@ impl TwoChainEngine {
         sink.block(BlockRecord {
             network: side,
             number: header.number,
-            hash: f.block.hash(),
+            hash: f.hash,
             timestamp: header.timestamp,
             difficulty: header.difficulty,
             beneficiary: header.beneficiary,

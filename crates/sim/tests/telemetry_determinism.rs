@@ -59,6 +59,11 @@ fn telemetry_json_carries_engine_metrics() {
         "chain.etc.imports.extended",
         "meso.step",
         "meso.step.mine",
+        "chain.eth.propose.select",
+        "chain.eth.propose.execute",
+        "chain.eth.propose.roots",
+        "chain.eth.propose.seal",
+        "chain.etc.propose.commit",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }

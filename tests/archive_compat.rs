@@ -4,7 +4,9 @@
 //! `Raw` codec and truncated-keccak frame checksums. Every build must keep
 //! reading it exactly — verify clean, sidecar loaded rather than rebuilt,
 //! pooled queries equal to naive scans — and appending to it must roll into
-//! CRC32C (v3) segments that survive a crash at any byte.
+//! CRC32C (v3) segments that survive a crash at any byte. It is also the
+//! ledger `ForkStudy::quick(2016)` writes, so a fresh run must reproduce
+//! its records exactly.
 //!
 //! Tests that may write (sidecar rebuilds, appends, truncations) work on a
 //! temp copy; the committed files are read only, and checked unchanged.
@@ -17,6 +19,7 @@ use stick_a_fork::archive::{
     archive_format_version, ArchiveConfig, ArchiveReader, ArchiveRecord, ArchiveWriter, HashIndex,
     SidecarLoad, SIDECAR_FILE,
 };
+use stick_a_fork::core::ForkStudy;
 use stick_a_fork::primitives::{Address, H256, U256};
 use stick_a_fork::query::{
     FrameCache, Lookup, Projection, Query, QueryExecutor, QueryRange, ReaderPool,
@@ -200,6 +203,32 @@ fn committed_v2_archive_still_reads_exactly() {
     let _ = std::fs::remove_dir_all(&copy);
 
     assert!(before == snapshot(&fixture()), "figures/archive changed");
+}
+
+/// Every record of one side, in write order.
+fn side_records(reader: &ArchiveReader, side: Side) -> Vec<ArchiveRecord> {
+    reader.records(side).map(|r| r.unwrap().1).collect()
+}
+
+/// The committed ledger is `ForkStudy::quick(2016)`'s output. A fresh run
+/// must still write it record for record: a changed header hash, seal
+/// nonce, transaction hash or selection shows up here.
+#[test]
+fn simulator_still_writes_the_committed_ledger() {
+    let dir = scratch("quick-2016");
+    ForkStudy::quick(2016).archive_to(&dir).unwrap();
+    let fresh = ArchiveReader::open(&dir).unwrap();
+    let committed = ArchiveReader::open(&fixture()).unwrap();
+    for (side, expected) in [(Side::Eth, 1_812), (Side::Etc, 287)] {
+        let want = side_records(&committed, side);
+        assert_eq!(want.len(), expected, "{side:?} fixture records");
+        let got = side_records(&fresh, side);
+        assert_eq!(got.len(), want.len(), "{side:?} record count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{side:?} record {i}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
