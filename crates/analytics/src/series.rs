@@ -84,16 +84,12 @@ impl TimeSeries {
     /// This series as a JSON value: `{"label": ..., "points": [[t, v], ...]}`.
     pub fn to_json_value(&self) -> fork_telemetry::json::Value {
         use fork_telemetry::json::Value;
-        Value::Obj(vec![
-            ("label".into(), Value::Str(self.label.clone())),
+        let point = |&(t, v): &(u64, f64)| Value::Arr(vec![(t as f64).into(), v.into()]);
+        Value::obj([
+            ("label", Value::from(self.label.as_str())),
             (
-                "points".into(),
-                Value::Arr(
-                    self.points
-                        .iter()
-                        .map(|(t, v)| Value::Arr(vec![Value::Num(*t as f64), Value::Num(*v)]))
-                        .collect(),
-                ),
+                "points",
+                Value::Arr(self.points.iter().map(point).collect()),
             ),
         ])
     }

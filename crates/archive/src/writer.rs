@@ -538,24 +538,19 @@ fn write_manifest(
     txs: u64,
     compacted_below: Option<u64>,
 ) -> Result<(), ArchiveError> {
-    let mut fields = vec![(
-        "schema".to_string(),
-        Value::Str("fork-archive/v1".to_string()),
-    )];
+    let mut fields = vec![("schema", Value::from("fork-archive/v1"))];
     if let Some(m) = meta {
-        // Seed as a string: JSON numbers are f64 and a 64-bit seed would
-        // lose precision past 2^53.
-        fields.push(("seed".to_string(), Value::Str(m.seed.to_string())));
-        fields.push(("start_unix".to_string(), Value::Num(m.start_unix as f64)));
-        fields.push(("end_unix".to_string(), Value::Num(m.end_unix as f64)));
+        // Seed as a string: every archive written so far stores it that
+        // way, and readers parse it back from the string.
+        fields.push(("seed", m.seed.to_string().into()));
+        fields.push(("start_unix", m.start_unix.into()));
+        fields.push(("end_unix", m.end_unix.into()));
     }
-    fields.push(("blocks".to_string(), Value::Num(blocks as f64)));
-    fields.push(("txs".to_string(), Value::Num(txs as f64)));
-    if let Some(cutoff) = compacted_below {
-        fields.push(("compacted_below".to_string(), Value::Num(cutoff as f64)));
-    }
+    fields.push(("blocks", blocks.into()));
+    fields.push(("txs", txs.into()));
+    fields.extend(compacted_below.map(|cutoff| ("compacted_below", cutoff.into())));
     let manifest = dir.join("manifest.json");
-    fs::write(&manifest, Value::Obj(fields).to_json_pretty())
+    fs::write(&manifest, Value::obj(fields).to_json_pretty())
         .map_err(|e| ArchiveError::io(&manifest, e))
 }
 

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fork_analytics::{BlockRecord, TxRecord};
 use fork_archive::{
-    ArchiveConfig, ArchiveMeta, ArchiveReader, ArchiveRecord, ArchiveWriter, Codec,
+    ArchiveConfig, ArchiveError, ArchiveMeta, ArchiveReader, ArchiveRecord, ArchiveWriter, Codec,
 };
 use fork_primitives::{Address, H256, U256};
 use fork_replay::Side;
@@ -428,6 +428,22 @@ fn manifest_roundtrips_meta() {
     assert_eq!(stats.blocks, 1);
     let reader = ArchiveReader::open(&dir).unwrap();
     assert_eq!(reader.meta(), Some(meta));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_manifest_is_a_manifest_error_not_an_abort() {
+    let dir = scratch("deep-manifest");
+    let mut writer = ArchiveWriter::create(&dir).unwrap();
+    writer.block(block(Side::Eth, 1));
+    writer.finish(None).unwrap();
+    std::fs::write(dir.join("manifest.json"), "[".repeat(100_000)).unwrap();
+    match ArchiveReader::open(&dir).err() {
+        Some(ArchiveError::Manifest { detail, .. }) => {
+            assert!(detail.contains("nesting too deep"), "{detail}")
+        }
+        other => panic!("expected a manifest error, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -65,29 +65,20 @@ impl FigureData {
 
     /// This figure as a JSON value (id, caption, panels with their series).
     pub fn to_json_value(&self) -> Value {
-        Value::Obj(vec![
-            ("id".into(), Value::Str(self.id.into())),
-            ("caption".into(), Value::Str(self.caption.into())),
-            (
-                "panels".into(),
-                Value::Arr(
-                    self.panels
-                        .iter()
-                        .map(|p| {
-                            Value::Obj(vec![
-                                ("title".into(), Value::Str(p.title.clone())),
-                                (
-                                    "series".into(),
-                                    Value::Arr(
-                                        p.series.iter().map(|s| s.to_json_value()).collect(),
-                                    ),
-                                ),
-                                ("log_scale".into(), Value::Bool(p.log_scale)),
-                            ])
-                        })
-                        .collect(),
+        let panels = self.panels.iter().map(|p| {
+            Value::obj([
+                ("title", Value::from(p.title.as_str())),
+                (
+                    "series",
+                    Value::Arr(p.series.iter().map(TimeSeries::to_json_value).collect()),
                 ),
-            ),
+                ("log_scale", p.log_scale.into()),
+            ])
+        });
+        Value::obj([
+            ("id", Value::from(self.id)),
+            ("caption", self.caption.into()),
+            ("panels", Value::Arr(panels.collect())),
         ])
     }
 

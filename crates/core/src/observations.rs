@@ -36,23 +36,15 @@ impl ObservationReport {
 
     /// The report as a JSON string.
     pub fn to_json(&self) -> String {
-        Value::Obj(vec![(
-            "observations".into(),
-            Value::Arr(
-                self.observations
-                    .iter()
-                    .map(|o| {
-                        Value::Obj(vec![
-                            ("id".into(), Value::Str(o.id.into())),
-                            ("paper".into(), Value::Str(o.paper.into())),
-                            ("measured".into(), Value::Str(o.measured.clone())),
-                            ("pass".into(), Value::Bool(o.pass)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-        .to_json()
+        let rows = self.observations.iter().map(|o| {
+            Value::obj([
+                ("id", Value::from(o.id)),
+                ("paper", o.paper.into()),
+                ("measured", o.measured.as_str().into()),
+                ("pass", o.pass.into()),
+            ])
+        });
+        Value::obj([("observations", Value::Arr(rows.collect()))]).to_json()
     }
 
     /// Markdown table for EXPERIMENTS.md.

@@ -237,8 +237,7 @@ pub struct ArchiveAggregates {
     pub echoes_per_day: [TimeSeries; 2],
     /// Frame-cache counters after the batch.
     pub cache: CacheStats,
-    /// Per-query latency (`query.latency`, microseconds; empty when the
-    /// build compiles telemetry out).
+    /// Per-query latency (`query.latency`, microseconds).
     pub latency: fork_telemetry::HistogramSnapshot,
 }
 

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use fork_serve::{SlowQueryRecord, StageBreakdown};
-use fork_telemetry::json::{quote, Value};
+use fork_telemetry::json::Value;
 use fork_telemetry::{SeriesRing, SeriesSample};
 
 /// Schema tag stamped into the ops JSON document.
@@ -23,71 +23,58 @@ const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'
 /// Waterfall bar width in characters.
 const WATERFALL_WIDTH: u64 = 32;
 
-/// Renders an `f64` so that render → parse → render is byte-stable: the
-/// shortest representation that round-trips (Rust's `{:?}` for floats).
-/// Non-finite values (which no sampler emits) render as `0`.
-fn fmt_f64(v: f64) -> String {
+/// Non-finite sample values (which no sampler emits) render as `0`.
+fn finite(v: f64) -> f64 {
     if v.is_finite() {
-        format!("{v:?}")
+        v
     } else {
-        "0".into()
+        0.0
     }
 }
 
 /// JSON for the ops page: the series ring (every tick, every named series)
 /// plus the slow-query log with per-stage waterfalls.
 pub fn ops_json(series: &SeriesRing, slow: &[SlowQueryRecord]) -> String {
-    let mut out = format!("{{\n  \"schema\": \"{OBS_SCHEMA}\",\n  \"page\": \"ops\",\n");
-    out.push_str(&format!(
-        "  \"series\": {{\n    \"capacity\": {},\n    \"next_tick\": {},\n    \"ticks\": [",
-        series.capacity(),
-        series.next_tick()
-    ));
-    for (i, s) in series.samples().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&s.tick.to_string());
-    }
-    out.push_str("],\n    \"points\": {");
-    for (i, name) in series.series_names().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n      {}: [", quote(name)));
-        for (j, (tick, v)) in series.series(name).into_iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{tick}, {}]", fmt_f64(v)));
-        }
-        out.push(']');
-    }
-    out.push_str("\n    }\n  },\n  \"slow_log\": [");
-    for (i, r) in slow.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"id\": {}, \"seq\": {}, \"endpoint\": {}, \"total_us\": {}, \
-             \"stages\": {{\"read_us\": {}, \"admit_us\": {}, \"queue_us\": {}, \
-             \"execute_us\": {}, \"write_us\": {}}}, \
-             \"cache\": {{\"hits\": {}, \"misses\": {}}}}}",
-            r.id,
-            r.seq,
-            quote(&r.endpoint),
-            r.total_us,
-            r.stages.read_us,
-            r.stages.admit_us,
-            r.stages.queue_us,
-            r.stages.execute_us,
-            r.stages.write_us,
-            r.stages.cache_hits,
-            r.stages.cache_misses
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let ticks = series.samples().map(|s| s.tick.into()).collect();
+    let points = series.series_names().into_iter().map(|name| {
+        let points = series.series(&name).into_iter();
+        let points = points.map(|(tick, v)| Value::Arr(vec![tick.into(), finite(v).into()]));
+        (name, Value::Arr(points.collect()))
+    });
+    let series = Value::obj([
+        ("capacity", Value::from(series.capacity())),
+        ("next_tick", series.next_tick().into()),
+        ("ticks", Value::Arr(ticks)),
+        ("points", Value::obj(points)),
+    ]);
+    let slow_log = slow.iter().map(|r| {
+        let stages = Value::obj([
+            ("read_us", r.stages.read_us),
+            ("admit_us", r.stages.admit_us),
+            ("queue_us", r.stages.queue_us),
+            ("execute_us", r.stages.execute_us),
+            ("write_us", r.stages.write_us),
+        ]);
+        let cache = [
+            ("hits", r.stages.cache_hits),
+            ("misses", r.stages.cache_misses),
+        ];
+        Value::obj([
+            ("id", Value::from(r.id)),
+            ("seq", r.seq.into()),
+            ("endpoint", r.endpoint.as_str().into()),
+            ("total_us", r.total_us.into()),
+            ("stages", stages),
+            ("cache", Value::obj(cache)),
+        ])
+    });
+    Value::obj([
+        ("schema", Value::from(OBS_SCHEMA)),
+        ("page", "ops".into()),
+        ("series", series),
+        ("slow_log", Value::Arr(slow_log.collect())),
+    ])
+    .to_json_pretty()
 }
 
 fn want_u64(v: &Value, what: &str) -> Result<u64, String> {
@@ -246,12 +233,12 @@ pub fn ops_html(series: &SeriesRing, slow: &[SlowQueryRecord]) -> String {
             }
             let last = points.last().map(|&(_, v)| v).unwrap_or(0.0);
             body.push_str(&format!(
-                "<tr><td>{name}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
+                "<tr><td>{name}</td><td>{}</td><td>{:?}</td><td>{:?}</td><td>{:?}</td>\
                  <td><code>{}</code></td></tr>\n",
                 points.len(),
-                fmt_f64(last),
-                fmt_f64(min),
-                fmt_f64(max),
+                finite(last),
+                finite(min),
+                finite(max),
                 sparkline(&points)
             ));
         }
@@ -365,7 +352,8 @@ mod tests {
     fn ops_json_carries_schema_and_survives_empty_inputs() {
         let empty = SeriesRing::new(4);
         let rendered = ops_json(&empty, &[]);
-        assert!(rendered.contains("\"schema\": \"fork-obs/v1\""));
+        let doc = Value::parse(&rendered).expect("valid JSON");
+        assert_eq!(doc["schema"].as_str(), Some("fork-obs/v1"));
         let (ring, slow) = parse_ops_json(&rendered).expect("parse empty");
         assert!(ring.is_empty());
         assert!(slow.is_empty());

@@ -12,11 +12,12 @@
 
 use std::path::{Path, PathBuf};
 
-use fork_analytics::{BlockRecord, TxRecord};
+use fork_analytics::BlockRecord;
 use fork_archive::ArchiveRecord;
-use fork_query::{FoundRecord, HeaderChain, Lookup, LookupOutput, ReorgEvent, TipHistoryOutput};
+use fork_query::{FoundRecord, HeaderChain, Lookup, LookupOutput, TipHistoryOutput};
 use fork_replay::Side;
 use fork_serve::ServeMeta;
+use fork_telemetry::json::Value;
 
 use crate::source::{ExplorerError, ExplorerSource};
 
@@ -34,41 +35,23 @@ pub fn side_label(side: Side) -> &'static str {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => "null".into(),
-    }
+/// A `fork-explorer/v1` page: the schema tag, the page name, then `fields`.
+fn page(name: &str, fields: impl IntoIterator<Item = (&'static str, Value)>) -> String {
+    let head = [("schema", Value::from(SCHEMA)), ("page", name.into())];
+    Value::obj(head.into_iter().chain(fields)).to_json_pretty()
 }
 
-fn opt_range(v: Option<(u64, u64)>) -> String {
-    match v {
-        Some((lo, hi)) => format!("[{lo}, {hi}]"),
-        None => "null".into(),
-    }
-}
-
-fn block_fields(b: &BlockRecord) -> String {
-    format!(
-        "{{\"number\": {}, \"hash\": \"{}\", \"timestamp\": {}, \"difficulty\": \"{}\", \
-         \"beneficiary\": \"{}\", \"gas_used\": {}, \"tx_count\": {}, \"ommer_count\": {}}}",
-        b.number,
-        b.hash,
-        b.timestamp,
-        b.difficulty,
-        b.beneficiary,
-        b.gas_used,
-        b.tx_count,
-        b.ommer_count
-    )
-}
-
-fn tx_fields(t: &TxRecord) -> String {
-    format!(
-        "{{\"hash\": \"{}\", \"timestamp\": {}, \"is_contract\": {}, \"has_chain_id\": {}, \
-         \"value\": \"{}\"}}",
-        t.hash, t.timestamp, t.is_contract, t.has_chain_id, t.value
-    )
+fn block_value(b: &BlockRecord) -> Value {
+    Value::obj([
+        ("number", Value::from(b.number)),
+        ("hash", b.hash.to_string().into()),
+        ("timestamp", b.timestamp.into()),
+        ("difficulty", b.difficulty.to_string().into()),
+        ("beneficiary", b.beneficiary.to_string().into()),
+        ("gas_used", b.gas_used.into()),
+        ("tx_count", b.tx_count.into()),
+        ("ommer_count", b.ommer_count.into()),
+    ])
 }
 
 fn html_doc(title: &str, body: &str) -> String {
@@ -87,15 +70,16 @@ pub fn block_json(found: &Option<FoundRecord>) -> String {
             seq,
             side,
             record: ArchiveRecord::Block(b),
-        }) => format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"block\",\n  \"found\": true,\n  \
-             \"side\": \"{}\",\n  \"seq\": {seq},\n  \"block\": {}\n}}\n",
-            side_label(*side),
-            block_fields(b)
+        }) => page(
+            "block",
+            [
+                ("found", Value::from(true)),
+                ("side", side_label(*side).into()),
+                ("seq", (*seq).into()),
+                ("block", block_value(b)),
+            ],
         ),
-        _ => format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"block\",\n  \"found\": false\n}}\n"
-        ),
+        _ => page("block", [("found", false.into())]),
     }
 }
 
@@ -138,17 +122,25 @@ pub fn tx_json(found: &Option<FoundRecord>) -> String {
             seq,
             side,
             record: ArchiveRecord::Tx(t),
-        }) => format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"tx\",\n  \"found\": true,\n  \
-             \"side\": \"{}\",\n  \"seq\": {seq},\n  \"tx\": {}\n}}\n",
-            side_label(*side),
-            tx_fields(t)
-        ),
-        _ => {
-            format!(
-                "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"tx\",\n  \"found\": false\n}}\n"
+        }) => {
+            let tx = Value::obj([
+                ("hash", Value::from(t.hash.to_string())),
+                ("timestamp", t.timestamp.into()),
+                ("is_contract", t.is_contract.into()),
+                ("has_chain_id", t.has_chain_id.into()),
+                ("value", t.value.to_string().into()),
+            ]);
+            page(
+                "tx",
+                [
+                    ("found", Value::from(true)),
+                    ("side", side_label(*side).into()),
+                    ("seq", (*seq).into()),
+                    ("tx", tx),
+                ],
             )
         }
+        _ => page("tx", [("found", false.into())]),
     }
 }
 
@@ -181,42 +173,28 @@ pub fn tx_html(found: &Option<FoundRecord>) -> String {
 
 // --- timeline page ---------------------------------------------------------
 
-fn reorg_json(ev: &ReorgEvent) -> String {
-    format!(
-        "{{\"side\": \"{}\", \"seq\": {}, \"number\": {}, \"depth\": {}, \"timestamp\": {}}}",
-        side_label(ev.side),
-        ev.seq,
-        ev.number,
-        ev.depth,
-        ev.timestamp
-    )
-}
-
 /// JSON for the per-side tip + reorg timeline page.
 pub fn timeline_json(tips: &TipHistoryOutput) -> String {
-    let mut out = format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"timeline\",\n");
-    for t in [&tips.eth, &tips.etc] {
-        let tip = match &t.tip {
-            Some(b) => block_fields(b),
-            None => "null".into(),
-        };
-        out.push_str(&format!(
-            "  \"{}\": {{\"blocks\": {}, \"reorgs\": {}, \"tip_seq\": {}, \"tip\": {}}},\n",
-            side_label(t.side),
-            t.blocks,
-            t.reorgs,
-            opt_u64(t.tip_seq),
-            tip
-        ));
-    }
-    out.push_str("  \"reorgs\": [");
-    for (i, ev) in tips.reorgs.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        out.push_str(sep);
-        out.push_str(&reorg_json(ev));
-    }
-    out.push_str("]\n}\n");
-    out
+    let sides = [&tips.eth, &tips.etc].map(|t| {
+        let side = Value::obj([
+            ("blocks", Value::from(t.blocks)),
+            ("reorgs", t.reorgs.into()),
+            ("tip_seq", t.tip_seq.map_or(Value::Null, Value::from)),
+            ("tip", t.tip.as_ref().map_or(Value::Null, block_value)),
+        ]);
+        (side_label(t.side), side)
+    });
+    let reorgs = tips.reorgs.iter().map(|ev| {
+        Value::obj([
+            ("side", Value::from(side_label(ev.side))),
+            ("seq", ev.seq.into()),
+            ("number", ev.number.into()),
+            ("depth", ev.depth.into()),
+            ("timestamp", ev.timestamp.into()),
+        ])
+    });
+    let reorgs = ("reorgs", Value::Arr(reorgs.collect()));
+    page("timeline", sides.into_iter().chain([reorgs]))
 }
 
 /// HTML for the timeline page.
@@ -260,32 +238,36 @@ pub fn timeline_html(tips: &TipHistoryOutput) -> String {
 
 /// JSON for the fork-overview page: archive shape plus both sides' tips.
 pub fn overview_json(meta: &ServeMeta, tips: &TipHistoryOutput) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"overview\",\n  \
-         \"archive\": {{\"blocks\": {}, \"txs\": {}, \"format_version\": {}, \
-         \"checksum\": \"{:08x}\", \"block_range\": {}, \"time_range\": {}}},\n",
-        meta.blocks,
-        meta.txs,
-        meta.format_version,
-        meta.checksum,
-        opt_range(meta.block_range),
-        opt_range(meta.time_range)
-    );
-    for t in [&tips.eth, &tips.etc] {
+    let range = |r: Option<(u64, u64)>| match r {
+        Some((lo, hi)) => Value::Arr(vec![lo.into(), hi.into()]),
+        None => Value::Null,
+    };
+    let archive = Value::obj([
+        ("blocks", Value::from(meta.blocks)),
+        ("txs", meta.txs.into()),
+        ("format_version", meta.format_version.into()),
+        ("checksum", format!("{:08x}", meta.checksum).into()),
+        ("block_range", range(meta.block_range)),
+        ("time_range", range(meta.time_range)),
+    ]);
+    let sides = [&tips.eth, &tips.etc].map(|t| {
         let (tip_number, tip_hash) = match &t.tip {
-            Some(b) => (b.number.to_string(), format!("\"{}\"", b.hash)),
-            None => ("null".into(), "null".into()),
+            Some(b) => (b.number.into(), b.hash.to_string().into()),
+            None => (Value::Null, Value::Null),
         };
-        out.push_str(&format!(
-            "  \"{}\": {{\"blocks\": {}, \"reorgs\": {}, \"tip_number\": {tip_number}, \
-             \"tip_hash\": {tip_hash}}},\n",
-            side_label(t.side),
-            t.blocks,
-            t.reorgs
-        ));
-    }
-    out.push_str(&format!("  \"reorg_count\": {}\n}}\n", tips.reorgs.len()));
-    out
+        let side = Value::obj([
+            ("blocks", Value::from(t.blocks)),
+            ("reorgs", t.reorgs.into()),
+            ("tip_number", tip_number),
+            ("tip_hash", tip_hash),
+        ]);
+        (side_label(t.side), side)
+    });
+    let fields = [("archive", archive)].into_iter().chain(sides);
+    page(
+        "overview",
+        fields.chain([("reorg_count", tips.reorgs.len().into())]),
+    )
 }
 
 /// HTML for the fork-overview page. Both sides' tips appear with stable
@@ -321,25 +303,26 @@ pub fn overview_html(meta: &ServeMeta, tips: &TipHistoryOutput) -> String {
 /// [`HeaderChain::verify`] on `chain` — rendering is refused upstream when
 /// verification fails.
 pub fn headers_json(chain: &HeaderChain, blocks: &[BlockRecord]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"page\": \"headers\",\n  \"side\": \"{}\",\n  \
-         \"first\": {},\n  \"last\": {},\n  \"count\": {},\n  \"verified\": true,\n  \
-         \"headers\": [",
-        side_label(chain.side),
-        chain.first,
-        chain.last,
-        blocks.len()
-    );
-    for (i, (h, b)) in chain.headers.iter().zip(blocks).enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        out.push_str(&format!(
-            "{sep}{{\"seq\": {}, \"number\": {}, \"hash\": \"{}\", \"timestamp\": {}, \
-             \"difficulty\": \"{}\"}}",
-            h.seq, b.number, b.hash, b.timestamp, b.difficulty
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
+    let headers = chain.headers.iter().zip(blocks).map(|(h, b)| {
+        Value::obj([
+            ("seq", Value::from(h.seq)),
+            ("number", b.number.into()),
+            ("hash", b.hash.to_string().into()),
+            ("timestamp", b.timestamp.into()),
+            ("difficulty", b.difficulty.to_string().into()),
+        ])
+    });
+    page(
+        "headers",
+        [
+            ("side", Value::from(side_label(chain.side))),
+            ("first", chain.first.into()),
+            ("last", chain.last.into()),
+            ("count", blocks.len().into()),
+            ("verified", true.into()),
+            ("headers", Value::Arr(headers.collect())),
+        ],
+    )
 }
 
 /// HTML for a verified header-chain page.

@@ -165,7 +165,8 @@ fn ops_page_renders_identically_live_or_from_a_dump() {
     let (series2, slow2) = parse_ops_json(&live_json).expect("parse dump");
     assert_eq!(live_json, ops_json(&series2, &slow2));
     assert_eq!(live_html, ops_html(&series2, &slow2));
-    assert!(live_json.contains("\"schema\": \"fork-obs/v1\""));
+    let doc = Value::parse(&live_json).expect("valid JSON");
+    assert_eq!(doc["schema"].as_str(), Some("fork-obs/v1"));
 
     // A local archive source refuses ops — there is no traffic to observe.
     let mut local = ExplorerSource::open(&arch).unwrap();

@@ -54,8 +54,7 @@ impl QueryExecutor {
         self.workers
     }
 
-    /// The `query.latency` histogram recorded so far (microseconds; empty
-    /// when the build compiles telemetry out).
+    /// The `query.latency` histogram recorded so far (microseconds).
     pub fn latency_snapshot(&self) -> HistogramSnapshot {
         self.latency.snapshot()
     }

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use fork_query::{Projection, Query, QueryRange};
 use fork_replay::Side;
+use fork_telemetry::json::Value;
 use fork_telemetry::HistogramSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,6 +131,42 @@ impl PhaseStats {
         }
     }
 
+    /// This phase as a `fork-load/v1` phase object. Rates and means are
+    /// rounded to one decimal.
+    fn to_value(&self) -> Value {
+        let tenths = |x: f64| Value::Num(format!("{x:.1}").parse().unwrap_or(0.0));
+        let latency = Value::obj([
+            ("p50", Value::from(self.latency.p50())),
+            ("p90", self.latency.p90().into()),
+            ("p99", self.latency.p99().into()),
+            ("min", self.latency.min.into()),
+            ("max", self.latency.max.into()),
+            ("mean", tenths(self.latency.mean())),
+        ]);
+        let endpoints = self.endpoints.iter().map(|(name, h)| {
+            let fields = [
+                ("count", h.count),
+                ("p50", h.p50()),
+                ("p90", h.p90()),
+                ("p99", h.p99()),
+            ];
+            (name.as_str(), Value::obj(fields))
+        });
+        Value::obj([
+            ("name", Value::from(self.name.as_str())),
+            ("requests", self.requests.into()),
+            ("ok", self.ok.into()),
+            ("overloaded", self.overloaded.into()),
+            ("retries", self.retries.into()),
+            ("backpressure", self.backpressure.into()),
+            ("errors", self.errors.into()),
+            ("wall_ms", (self.wall.as_millis() as u64).into()),
+            ("queries_per_sec", tenths(self.queries_per_sec())),
+            ("latency_us", latency),
+            ("endpoints", Value::obj(endpoints)),
+        ])
+    }
+
     fn absorb(&mut self, other: &PhaseStats) {
         self.requests += other.requests;
         self.ok += other.ok;
@@ -164,26 +201,22 @@ pub struct LoadReport {
 impl LoadReport {
     /// Machine-readable JSON (`fork-load/v1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"fork-load/v1\",\n");
-        out.push_str(&format!(
-            "  \"connections\": {},\n  \"pipeline_depth\": {},\n",
-            self.connections, self.pipeline_depth
-        ));
-        out.push_str(&format!(
-            "  \"archive\": {{\"blocks\": {}, \"txs\": {}, \"format_version\": {}, \"checksum\": \"{:08x}\"}},\n",
-            self.meta.blocks, self.meta.txs, self.meta.format_version, self.meta.checksum
-        ));
-        out.push_str("  \"phases\": [\n");
-        for (i, phase) in self.phases.iter().enumerate() {
-            let sep = if i + 1 == self.phases.len() { "" } else { "," };
-            out.push_str(&format!("    {}{sep}\n", phase_json(phase)));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"overall\": {}\n}}\n",
-            phase_json(&self.overall)
-        ));
-        out
+        let archive = Value::obj([
+            ("blocks", Value::from(self.meta.blocks)),
+            ("txs", self.meta.txs.into()),
+            ("format_version", self.meta.format_version.into()),
+            ("checksum", format!("{:08x}", self.meta.checksum).into()),
+        ]);
+        let phases = self.phases.iter().map(PhaseStats::to_value).collect();
+        Value::obj([
+            ("schema", Value::from("fork-load/v1")),
+            ("connections", self.connections.into()),
+            ("pipeline_depth", self.pipeline_depth.into()),
+            ("archive", archive),
+            ("phases", Value::Arr(phases)),
+            ("overall", self.overall.to_value()),
+        ])
+        .to_json_pretty()
     }
 
     /// Human-readable summary table.
@@ -232,45 +265,6 @@ impl LoadReport {
         }
         out
     }
-}
-
-fn phase_json(phase: &PhaseStats) -> String {
-    let mut endpoints = String::from("{");
-    for (i, (name, hist)) in phase.endpoints.iter().enumerate() {
-        if i > 0 {
-            endpoints.push_str(", ");
-        }
-        endpoints.push_str(&format!(
-            "\"{name}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            hist.count,
-            hist.p50(),
-            hist.p90(),
-            hist.p99(),
-        ));
-    }
-    endpoints.push('}');
-    format!(
-        "{{\"name\": \"{}\", \"requests\": {}, \"ok\": {}, \"overloaded\": {}, \
-         \"retries\": {}, \"backpressure\": {}, \"errors\": {}, \"wall_ms\": {}, \
-         \"queries_per_sec\": {:.1}, \"latency_us\": {{\"p50\": {}, \"p90\": {}, \
-         \"p99\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.1}}}, \
-         \"endpoints\": {endpoints}}}",
-        phase.name,
-        phase.requests,
-        phase.ok,
-        phase.overloaded,
-        phase.retries,
-        phase.backpressure,
-        phase.errors,
-        phase.wall.as_millis(),
-        phase.queries_per_sec(),
-        phase.latency.p50(),
-        phase.latency.p90(),
-        phase.latency.p99(),
-        phase.latency.min,
-        phase.latency.max,
-        phase.latency.mean(),
-    )
 }
 
 /// Builds the mixed workload from archive shape metadata: per-side full

@@ -4,6 +4,7 @@
 //! unordered iteration.
 
 use fork_sim::{scenario, CountingSink, TwoChainEngine};
+use fork_telemetry::json::Value;
 use fork_telemetry::TimingMode;
 
 fn run_json(seed: u64) -> String {
@@ -14,14 +15,36 @@ fn run_json(seed: u64) -> String {
     engine.telemetry().snapshot().to_json(TimingMode::Zeroed)
 }
 
+/// Every metric name in an exported snapshot, across all four sections.
+fn metric_names(json: &str) -> Vec<String> {
+    let doc = Value::parse(json).expect("telemetry export parses");
+    let mut names = Vec::new();
+    for section in ["counters", "gauges", "spans", "histograms"] {
+        let Value::Obj(fields) = &doc[section] else {
+            panic!("{section} is not an object")
+        };
+        names.extend(fields.iter().map(|(name, _)| name.clone()));
+    }
+    names
+}
+
 #[test]
 fn identical_runs_export_identical_telemetry_json() {
     let a = run_json(7);
     let b = run_json(7);
     assert_eq!(a, b, "telemetry must be deterministic across reruns");
-    assert!(a.contains("\"schema\": \"fork-telemetry/v1\""));
+    let doc = Value::parse(&a).expect("telemetry export parses");
+    assert_eq!(doc["schema"].as_str(), Some("fork-telemetry/v1"));
     // Zeroed mode keeps counts but erases durations.
-    assert!(!a.contains("\"total_ns\": 1"), "no wall-clock leaks");
+    let Value::Obj(spans) = &doc["spans"] else {
+        panic!("spans is not an object")
+    };
+    assert!(spans.iter().any(|(_, s)| s["count"].as_u64() > Some(0)));
+    for (name, s) in spans {
+        for key in ["total_ns", "self_ns", "child_ns", "max_ns"] {
+            assert_eq!(s[key].as_u64(), Some(0), "wall-clock leak in {name}.{key}");
+        }
+    }
 }
 
 /// A chaos-enabled micro run is exactly as deterministic as a clean one:
@@ -38,6 +61,7 @@ fn chaos_run_telemetry_is_deterministic() {
     let a = run(7);
     let b = run(7);
     assert_eq!(a, b, "chaos telemetry must be deterministic across reruns");
+    let names = metric_names(&a);
     for key in [
         "micro.chaos.crashes",
         "micro.chaos.restarts",
@@ -47,13 +71,14 @@ fn chaos_run_telemetry_is_deterministic() {
         "micro.sync.retries",
         "micro.peers.banned",
     ] {
-        assert!(a.contains(key), "missing {key} in {a}");
+        assert!(names.iter().any(|n| n == key), "missing {key} in {a}");
     }
 }
 
 #[test]
 fn telemetry_json_carries_engine_metrics() {
     let json = run_json(11);
+    let names = metric_names(&json);
     for key in [
         "chain.eth.imports.extended",
         "chain.etc.imports.extended",
@@ -65,6 +90,6 @@ fn telemetry_json_carries_engine_metrics() {
         "chain.eth.propose.seal",
         "chain.etc.propose.commit",
     ] {
-        assert!(json.contains(key), "missing {key} in {json}");
+        assert!(names.iter().any(|n| n == key), "missing {key} in {json}");
     }
 }

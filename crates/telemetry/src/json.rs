@@ -1,20 +1,28 @@
 //! Minimal JSON value, parser, and writer.
 //!
-//! The workspace builds offline (no serde), so every JSON export and the few
-//! tests that parse JSON go through this module. Objects preserve insertion
-//! order; numbers are `f64` (integers round-trip exactly up to 2^53, which
-//! covers everything the figure and telemetry exports emit).
+//! The workspace builds offline (no serde), so every JSON document it
+//! writes — figures, observations, the archive manifest, telemetry
+//! snapshots, Chrome traces, explorer and ops pages, the `fork-load`
+//! report — is built as a [`Value`] and rendered here, in one of two
+//! layouts: [`Value::to_json`] (compact) or [`Value::to_json_pretty`].
+//! Objects preserve insertion order. Integer literals parse to
+//! [`Value::Int`] and write back exactly across the whole `i64` and `u64`
+//! ranges; every other number is an `f64` written in its shortest
+//! round-trip form, so rendering a parsed document in the layout it was
+//! written in reproduces its bytes.
 
 use std::fmt;
 
 /// A JSON document node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An integer, exact across the `i64` and `u64` ranges.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -26,17 +34,29 @@ pub enum Value {
 
 static NULL: Value = Value::Null;
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Far above what
+/// any document in the workspace nests; it bounds the parser's recursion
+/// so a hostile file is a [`ParseError`], not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 impl Value {
-    /// Parses a JSON document (rejects trailing garbage).
+    /// Parses a JSON document (rejects trailing garbage and nesting deeper
+    /// than 128 arrays/objects).
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError::at(pos, "trailing characters"));
         }
         Ok(value)
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>, V: Into<Value>>(fields: impl IntoIterator<Item = (K, V)>) -> Value {
+        let fields = fields.into_iter().map(|(k, v)| (k.into(), v.into()));
+        Value::Obj(fields.collect())
     }
 
     /// Object field lookup.
@@ -63,9 +83,10 @@ impl Value {
         }
     }
 
-    /// Numeric payload, if this is a number.
+    /// Numeric payload, if this is a number (integers beyond 2^53 round).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -73,10 +94,19 @@ impl Value {
 
     /// Numeric payload as `u64`, if integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
+        self.as_int()?.try_into().ok()
+    }
+
+    /// Numeric payload as `i64`, if integral and in range.
+    pub fn as_i64(&self) -> Option<i64> {
+        self.as_int()?.try_into().ok()
+    }
+
+    /// An integer literal, or an integral `f64` small enough to be exact.
+    fn as_int(&self) -> Option<i128> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Value::Int(n) => Some(*n),
+            Value::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i128),
             _ => None,
         }
     }
@@ -111,6 +141,48 @@ impl Value {
         out.push('\n');
         out
     }
+}
+
+/// Structural equality, except that numbers compare by value: `Int(42)`
+/// equals `Num(42.0)`, since `42` and `42.0` are the same JSON number.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Num(a), Value::Num(b)) => a == b,
+            (Value::Int(i), Value::Num(n)) | (Value::Num(n), Value::Int(i)) => {
+                n.fract() == 0.0 && *n as i128 == *i
+            }
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+macro_rules! impl_from {
+    ($($t:ty => |$x:ident| $e:expr;)*) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Value {
+                $e
+            }
+        }
+    )*};
+}
+
+impl_from! {
+    u16 => |n| Value::Int(n.into());
+    u32 => |n| Value::Int(n.into());
+    u64 => |n| Value::Int(n.into());
+    usize => |n| Value::Int(n as i128);
+    i64 => |n| Value::Int(n.into());
+    f64 => |n| Value::Num(n);
+    bool => |b| Value::Bool(b);
+    &str => |s| Value::Str(s.to_string());
+    String => |s| Value::Str(s);
 }
 
 /// `value["key"]` — returns `Null` for missing keys / non-objects.
@@ -193,6 +265,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(n) => out.push_str(&n.to_string()),
         Value::Num(n) => write_num(out, *n),
         Value::Str(s) => out.push_str(&quote(s)),
         Value::Arr(items) => {
@@ -248,12 +321,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses one value nested inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::at(*pos, "nesting too deep")),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -288,6 +363,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| ParseError::at(start, "invalid number"))?;
+    if !text.contains(['.', 'e', 'E']) {
+        if let Ok(n) = text.parse::<i128>() {
+            return Ok(Value::Int(n));
+        }
+    }
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| ParseError::at(start, "invalid number"))
@@ -342,7 +422,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -351,7 +431,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -364,7 +444,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -383,7 +463,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
             return Err(ParseError::at(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -463,5 +543,60 @@ mod tests {
         assert_eq!(items[2].as_f64(), Some(3.25));
         assert_eq!(items[3].as_f64(), Some(1000.0));
         assert_eq!(items[4].as_u64(), Some((1u64 << 53) - 1));
+    }
+
+    #[test]
+    fn integers_are_exact_across_the_i64_and_u64_ranges() {
+        for n in [(1u64 << 53) + 1, 1 << 60, u64::MAX] {
+            let text = Value::from(n).to_json();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Value::parse(&text).unwrap().as_u64(), Some(n));
+        }
+        let text = Value::from(i64::MIN).to_json();
+        assert_eq!(Value::parse(&text).unwrap().as_i64(), Some(i64::MIN));
+        assert_eq!(Value::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Value::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Value::parse("1.5").unwrap().as_i64(), None);
+        // An integer literal and an integral float are one JSON number.
+        assert_eq!(Value::parse("42").unwrap(), Value::Num(42.0));
+        assert_ne!(Value::parse("42").unwrap(), Value::Num(42.5));
+    }
+
+    #[test]
+    fn rendering_a_parsed_document_reproduces_its_bytes() {
+        let value = Value::obj([
+            ("big", Value::from(u64::MAX)),
+            ("neg", Value::from(i64::MIN)),
+            ("tiny", Value::Num(1e-7)),
+            ("huge", Value::Num(1e300)),
+            ("third", Value::Num(1.0 / 3.0)),
+            ("whole", Value::Num(-3.0)),
+            ("esc", Value::from("a\"b\\c\u{1}")),
+            ("empty", Value::Obj(Vec::new())),
+            ("list", Value::Arr(vec![1u64.into(), Value::Null])),
+        ]);
+        for text in [value.to_json(), value.to_json_pretty()] {
+            let parsed = Value::parse(&text).unwrap();
+            assert_eq!(parsed, value);
+            let rerendered = if text.ends_with('\n') {
+                parsed.to_json_pretty()
+            } else {
+                parsed.to_json()
+            };
+            assert_eq!(rerendered, text);
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let deep = open.repeat(100_000);
+            let err = Value::parse(&deep).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+        }
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(Value::parse(&over).is_err());
     }
 }

@@ -3,6 +3,7 @@
 //! These types carry no atomics and exist so results can flow through APIs
 //! (`StudyResult`, figure tools) without holding live metrics.
 
+use crate::json::Value;
 use crate::metrics::{bucket_index, bucket_range, BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -278,80 +279,40 @@ impl Snapshot {
     /// with [`TimingMode::Zeroed`] — byte-identical across identical seeded
     /// runs.
     pub fn to_json(&self, timing: TimingMode) -> String {
-        let mut out = String::from("{\n  \"schema\": \"fork-telemetry/v1\",\n");
-
-        out.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    {}: {v}", crate::json::quote(name));
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+        let spans = self.spans.iter().map(|(name, s)| {
+            let t = |ns: u64| if timing == TimingMode::Wall { ns } else { 0 };
+            let fields = [
+                ("count", s.count),
+                ("total_ns", t(s.total_ns)),
+                ("self_ns", t(s.self_ns())),
+                ("child_ns", t(s.child_ns)),
+                ("max_ns", t(s.max_ns)),
+            ];
+            (name.as_str(), Value::obj(fields))
         });
-
-        out.push_str("  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    {}: {v}", crate::json::quote(name));
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = h.buckets.iter().enumerate().filter(|&(_, &n)| n > 0);
+            let buckets =
+                buckets.map(|(i, &n)| Value::Arr(vec![bucket_range(i).0.into(), n.into()]));
+            let fields = [
+                ("count", Value::from(h.count)),
+                ("sum", h.sum.into()),
+                ("min", h.min.into()),
+                ("max", h.max.into()),
+                ("buckets", Value::Arr(buckets.collect())),
+            ];
+            (name.as_str(), Value::obj(fields))
         });
-
-        out.push_str("  \"spans\": {");
-        for (i, (name, s)) in self.spans.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let (total, child, self_ns, max) = match timing {
-                TimingMode::Wall => (s.total_ns, s.child_ns, s.self_ns(), s.max_ns),
-                TimingMode::Zeroed => (0, 0, 0, 0),
-            };
-            let _ = write!(
-                out,
-                "{sep}    {}: {{\"count\": {}, \"total_ns\": {total}, \"self_ns\": {self_ns}, \"child_ns\": {child}, \"max_ns\": {max}}}",
-                crate::json::quote(name),
-                s.count,
-            );
-        }
-        out.push_str(if self.spans.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-
-        out.push_str("  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                crate::json::quote(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-            );
-            let mut first = true;
-            for (idx, &n) in h.buckets.iter().enumerate() {
-                if n > 0 {
-                    let (lo, _) = bucket_range(idx);
-                    let _ = write!(out, "{}[{lo}, {n}]", if first { "" } else { ", " });
-                    first = false;
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "}\n"
-        } else {
-            "\n  }\n"
-        });
-
-        out.push_str("}\n");
-        out
+        let counters = self.counters.iter().map(|(k, &v)| (k.as_str(), v));
+        let gauges = self.gauges.iter().map(|(k, &v)| (k.as_str(), v));
+        Value::obj([
+            ("schema", Value::from("fork-telemetry/v1")),
+            ("counters", Value::obj(counters)),
+            ("gauges", Value::obj(gauges)),
+            ("spans", Value::obj(spans)),
+            ("histograms", Value::obj(histograms)),
+        ])
+        .to_json_pretty()
     }
 
     /// Parses a snapshot previously written by [`Snapshot::to_json`] (a
@@ -359,24 +320,24 @@ impl Snapshot {
     /// fields, which round-trip exactly, and bucket placement, which is
     /// reconstructed from each bucket's lower bound.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let value = crate::json::Value::parse(text).map_err(|e| e.to_string())?;
+        let value = Value::parse(text).map_err(|e| e.to_string())?;
         if value["schema"].as_str() != Some("fork-telemetry/v1") {
             return Err("not a fork-telemetry/v1 snapshot".into());
         }
         let mut snap = Snapshot::default();
-        if let Some(crate::json::Value::Obj(fields)) = value.get("counters") {
+        if let Some(Value::Obj(fields)) = value.get("counters") {
             for (name, v) in fields {
                 let v = v.as_u64().ok_or_else(|| format!("counter {name}"))?;
                 snap.counters.insert(name.clone(), v);
             }
         }
-        if let Some(crate::json::Value::Obj(fields)) = value.get("gauges") {
+        if let Some(Value::Obj(fields)) = value.get("gauges") {
             for (name, v) in fields {
-                let v = v.as_f64().ok_or_else(|| format!("gauge {name}"))?;
-                snap.gauges.insert(name.clone(), v as i64);
+                let v = v.as_i64().ok_or_else(|| format!("gauge {name}"))?;
+                snap.gauges.insert(name.clone(), v);
             }
         }
-        if let Some(crate::json::Value::Obj(fields)) = value.get("spans") {
+        if let Some(Value::Obj(fields)) = value.get("spans") {
             for (name, s) in fields {
                 let field = |k: &str| s[k].as_u64().ok_or_else(|| format!("span {name}.{k}"));
                 snap.spans.insert(
@@ -390,7 +351,7 @@ impl Snapshot {
                 );
             }
         }
-        if let Some(crate::json::Value::Obj(fields)) = value.get("histograms") {
+        if let Some(Value::Obj(fields)) = value.get("histograms") {
             for (name, h) in fields {
                 let field = |k: &str| h[k].as_u64().ok_or_else(|| format!("histogram {name}.{k}"));
                 let mut hs = HistogramSnapshot {
@@ -487,18 +448,35 @@ mod tests {
                 max_ns: 99,
             },
         );
-        let wall = snap.to_json(TimingMode::Wall);
-        assert!(wall.contains("\"net.frames_sealed\": 7"));
-        assert!(wall.contains("\"total_ns\": 123"));
-        let zeroed = snap.to_json(TimingMode::Zeroed);
-        assert!(zeroed.contains("\"total_ns\": 0"));
-        assert!(
-            zeroed.contains("\"count\": 5"),
+        let wall = Value::parse(&snap.to_json(TimingMode::Wall)).expect("export parses");
+        assert_eq!(wall["schema"].as_str(), Some("fork-telemetry/v1"));
+        assert_eq!(wall["counters"]["net.frames_sealed"].as_u64(), Some(7));
+        assert_eq!(wall["spans"]["meso.mine"]["total_ns"].as_u64(), Some(123));
+        assert_eq!(wall["spans"]["meso.mine"]["self_ns"].as_u64(), Some(100));
+        let zeroed = Value::parse(&snap.to_json(TimingMode::Zeroed)).expect("export parses");
+        let span = &zeroed["spans"]["meso.mine"];
+        for key in ["total_ns", "self_ns", "child_ns", "max_ns"] {
+            assert_eq!(span[key].as_u64(), Some(0), "{key} is zeroed");
+        }
+        assert_eq!(
+            span["count"].as_u64(),
+            Some(5),
             "span counts survive zeroing"
         );
-        let parsed = crate::json::Value::parse(&wall).expect("export parses");
-        assert_eq!(parsed["counters"]["net.frames_sealed"].as_u64(), Some(7));
-        assert_eq!(parsed["schema"].as_str(), Some("fork-telemetry/v1"));
+    }
+
+    #[test]
+    fn integers_beyond_2_pow_53_round_trip_exactly() {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("c".into(), (1 << 53) + 1);
+        snap.gauges.insert("g".into(), i64::MIN);
+        let mut h = HistogramSnapshot::default();
+        h.record(1 << 60);
+        snap.histograms.insert("h".into(), h);
+        let parsed = Snapshot::from_json(&snap.to_json(TimingMode::Wall)).unwrap();
+        assert_eq!(parsed.counters["c"], (1 << 53) + 1);
+        assert_eq!(parsed.histograms["h"].sum, 1 << 60);
+        assert_eq!(parsed, snap);
     }
 
     #[test]
@@ -648,7 +626,7 @@ mod tests {
         let snap = Snapshot::default();
         assert!(snap.is_empty());
         let json = snap.to_json(TimingMode::Wall);
-        assert!(crate::json::Value::parse(&json).is_ok());
+        assert!(Value::parse(&json).is_ok());
         assert_eq!(snap.render_table(), "(no metrics recorded)\n");
     }
 
@@ -668,9 +646,31 @@ mod tests {
 
     mod proptests {
         use super::hist;
+        use crate::{HistogramSnapshot, Snapshot, TimingMode, BUCKETS};
+        use proptest::collection::vec;
         use proptest::prelude::*;
 
         proptest! {
+            #[test]
+            fn json_round_trips_over_the_full_integer_range(
+                counters in vec(("[a-z]{1,6}", any::<u64>()), 0..4),
+                gauges in vec(("[a-z]{1,6}", any::<i64>()), 0..4),
+                hists in vec(("[a-z]{1,6}", any::<[u64; 4]>(), vec((0..BUCKETS, any::<u64>()), 0..4)), 0..3),
+            ) {
+                let mut snap = Snapshot::default();
+                snap.counters.extend(counters);
+                snap.gauges.extend(gauges);
+                for (name, [count, sum, min, max], buckets) in hists {
+                    let mut h = HistogramSnapshot { count, sum, min, max, buckets: [0; BUCKETS] };
+                    for (idx, n) in buckets {
+                        h.buckets[idx] = n;
+                    }
+                    snap.histograms.insert(name, h);
+                }
+                let text = snap.to_json(TimingMode::Wall);
+                prop_assert_eq!(Snapshot::from_json(&text).unwrap(), snap);
+            }
+
             #[test]
             fn merge_is_associative_commutative_count_preserving(
                 xs in proptest::collection::vec(any::<u64>(), 0..20),

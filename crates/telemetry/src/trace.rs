@@ -15,6 +15,7 @@
 //! simulation that produced it: same seed, byte-identical
 //! [`chrome_trace_json`] output.
 
+use crate::json::Value;
 use crate::recorder::{FlightDump, FlightRecorder};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -272,49 +273,41 @@ pub(crate) fn hex_tag(tag: &BlockTag) -> String {
 /// `process_name` metadata record per entry of `node_labels`. Output is a
 /// pure function of the input slice — byte-identical for identical traces.
 pub fn chrome_trace_json(events: &[TraceEvent], node_labels: &[String]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for (i, label) in node_labels.iter().enumerate() {
-        let sep = if first { "\n" } else { ",\n" };
-        first = false;
-        let _ = write!(
-            out,
-            "{sep}{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{i},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            crate::json::quote(label),
-        );
-    }
-    for ev in events {
-        let sep = if first { "\n" } else { ",\n" };
-        first = false;
-        let _ = write!(
-            out,
-            "{sep}{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":0,\
-             \"args\":{{\"seq\":{}",
-            ev.kind.as_str(),
-            ev.at_ms * 1_000,
-            ev.node,
-            ev.seq,
-        );
+    let names = node_labels.iter().enumerate().map(|(pid, label)| {
+        Value::obj([
+            ("name", Value::from("process_name")),
+            ("ph", "M".into()),
+            ("ts", 0u64.into()),
+            ("pid", pid.into()),
+            ("tid", 0u64.into()),
+            ("args", Value::obj([("name", label.as_str())])),
+        ])
+    });
+    let instants = events.iter().map(|ev| {
+        let mut args = vec![("seq", Value::from(ev.seq))];
         if ev.block != NO_BLOCK {
-            let _ = write!(
-                out,
-                ",\"block\":\"{}\",\"number\":{}",
-                hex_tag(&ev.block),
-                ev.number
-            );
+            args.push(("block", hex_tag(&ev.block).into()));
+            args.push(("number", ev.number.into()));
         }
-        if let Some(p) = ev.peer {
-            let _ = write!(out, ",\"peer\":{p}");
-        }
+        args.extend(ev.peer.map(|p| ("peer", p.into())));
         if !ev.detail.is_empty() {
-            let _ = write!(out, ",\"detail\":{}", crate::json::quote(ev.detail));
+            args.push(("detail", ev.detail.into()));
         }
-        out.push_str("}}");
-    }
-    out.push_str("\n]}\n");
-    out
+        Value::obj([
+            ("name", Value::from(ev.kind.as_str())),
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("ts", (ev.at_ms * 1_000).into()),
+            ("pid", ev.node.into()),
+            ("tid", 0u64.into()),
+            ("args", Value::obj(args)),
+        ])
+    });
+    Value::obj([
+        ("displayTimeUnit", Value::from("ms")),
+        ("traceEvents", Value::Arr(names.chain(instants).collect())),
+    ])
+    .to_json()
 }
 
 /// One row of the per-side propagation-delay table: how long blocks of one

@@ -9,10 +9,12 @@ use std::time::Duration;
 
 use stick_a_fork::archive::{ArchiveConfig, Codec};
 use stick_a_fork::core::ForkStudy;
+use stick_a_fork::explorer::ops_json;
 use stick_a_fork::query::Query;
 use stick_a_fork::serve::{
     encode_response, RequestBody, ServeClient, ServeConfig, Server, ENDPOINTS,
 };
+use stick_a_fork::telemetry::json::Value;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fork-serve-obs-{}-{tag}", std::process::id()));
@@ -225,5 +227,144 @@ fn slow_log_stays_bounded_and_keeps_the_worst() {
     );
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One line of the Prometheus text exposition, as the daemon writes it:
+/// `name[{le="+Inf"|{le="<digits>"}] value`, where `name` matches
+/// `[a-zA-Z_:][a-zA-Z0-9_:]*` and `value` is `NaN` or
+/// `-?[0-9.]+(e-?[0-9]+)?`.
+fn is_exposition_line(line: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let Some((series, value)) = line.split_once(' ') else {
+        return false;
+    };
+    let (name, le) = match series.split_once('{') {
+        None => (series, None),
+        Some((name, label)) => {
+            match label
+                .strip_prefix("le=\"")
+                .and_then(|l| l.strip_suffix("\"}"))
+            {
+                Some(le) => (name, Some(le)),
+                None => return false,
+            }
+        }
+    };
+    let name_ok = name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+    let le_ok = match le {
+        None => true,
+        Some(le) => le == "+Inf" || digits(le),
+    };
+    let unsigned = value.strip_prefix('-').unwrap_or(value);
+    let (mantissa, exponent) = match unsigned.split_once('e') {
+        None => (unsigned, None),
+        Some((m, e)) => (m, Some(e.strip_prefix('-').unwrap_or(e))),
+    };
+    let value_ok = value == "NaN"
+        || (!mantissa.is_empty()
+            && mantissa.bytes().all(|b| b.is_ascii_digit() || b == b'.')
+            && exponent.is_none_or(digits));
+    name_ok && le_ok && value_ok
+}
+
+/// The `fork-obs/v1` document and the Prometheus exposition of a daemon
+/// after concurrent load: schema and page, a non-empty ring whose every
+/// point names a sampled tick, a non-empty worst-first slow log whose
+/// stages tile each request's `total_us`, and well-formed exposition lines.
+#[test]
+fn ops_document_and_exposition_hold_their_schema_under_load() {
+    let dir = scratch("ops-doc");
+    build_archive(&dir, 19);
+
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.sample_interval = Duration::from_millis(25);
+    let handle = Server::start(cfg).unwrap();
+    let addr = handle.local_addr().to_string();
+    let loaders: Vec<_> = (0..4)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect_retry(&addr, Duration::from_secs(5)).unwrap();
+                for q in workload(&mut client) {
+                    client.query(&q).unwrap();
+                }
+            })
+        })
+        .collect();
+    for loader in loaders {
+        loader.join().unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let mut client = ServeClient::connect_retry(&addr, Duration::from_secs(5)).unwrap();
+    let (series, slow) = (client.obs_series().unwrap(), client.obs_slow_log().unwrap());
+    let text = client.metrics_text().unwrap();
+    drop(client);
+    handle.shutdown();
+
+    let doc = Value::parse(&ops_json(&series, &slow)).expect("ops document parses");
+    assert_eq!(doc["schema"].as_str(), Some("fork-obs/v1"));
+    assert_eq!(doc["page"].as_str(), Some("ops"));
+    let series = &doc["series"];
+    assert!(series["capacity"].as_u64() > Some(0));
+    let ticks: Vec<u64> = (series["ticks"].as_array().expect("ticks array").iter())
+        .map(|t| t.as_u64().expect("integer tick"))
+        .collect();
+    assert!(!ticks.is_empty(), "series ring is empty");
+    let Value::Obj(points) = &series["points"] else {
+        panic!("series.points is not an object")
+    };
+    for (name, list) in points {
+        for point in list.as_array().expect("points array") {
+            let tick = point[0].as_u64().expect("integer tick");
+            assert!(ticks.contains(&tick), "{name}: tick {tick} not in ticks");
+        }
+    }
+    let slow = doc["slow_log"].as_array().expect("slow_log array");
+    assert!(
+        !slow.is_empty(),
+        "slow-query log is empty after a loaded run"
+    );
+    let mut last = u64::MAX;
+    for rec in slow {
+        let total = rec["total_us"].as_u64().expect("total_us");
+        assert!(total <= last, "slow log not sorted worst-first");
+        last = total;
+        let sum: u64 = ["read_us", "admit_us", "queue_us", "execute_us", "write_us"]
+            .iter()
+            .map(|stage| rec["stages"][*stage].as_u64().expect("stage"))
+            .sum();
+        assert!(sum <= total + 16, "stages {sum}us exceed total {total}us");
+        let slack = total - sum.min(total);
+        let budget = (total / 10).max(200);
+        assert!(
+            slack <= budget,
+            "stages {sum}us vs total {total}us (slack {slack}us)"
+        );
+    }
+
+    assert!(text.contains("# TYPE serve_stage_total histogram"));
+    assert!(text.contains("serve_queries"));
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert!(!lines.is_empty(), "no metric lines");
+    for line in lines {
+        assert!(is_exposition_line(line), "bad exposition line: {line:?}");
+    }
+    for bad in [
+        "9lives 1",
+        "x{le=\"1.5\"} 2",
+        "x{job=\"a\"} 2",
+        "x 1 2",
+        "x 1e",
+        "x",
+    ] {
+        assert!(!is_exposition_line(bad), "accepted {bad:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
