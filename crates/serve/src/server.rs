@@ -1,23 +1,46 @@
 //! The `fork-served` daemon core: one shared [`ReaderPool`] + frame cache,
 //! thread-per-connection TCP serving, and real operational behavior.
 //!
+//! ## Who answers and who writes
+//!
+//! Each connection has a reader thread and a writer thread. They share the
+//! socket's write half under one lock, held across each whole frame write,
+//! so their frames never interleave.
+//!
+//! - The **reader** answers a request itself when the connection has no
+//!   admitted work in flight: a point lookup (`BlockByHash`, `TxByHash`,
+//!   `BlockByNumber`) runs through [`QueryExecutor::run_lookup`] on the
+//!   reader thread, and a control request (ping, stats, meta, metrics, the
+//!   obs requests, shutdown) or a rejection is built there. The reader
+//!   writes the reply with one `write_frame_with`.
+//! - **Workers** run queries, `Headers` and `TipHistory`, plus any lookup
+//!   that arrives while the connection has admitted work in flight; the
+//!   **writer** thread writes their replies, and any control reply or
+//!   rejection made while that work is in flight.
+//!
+//! "No admitted work in flight" means the per-connection counter was 0 at
+//! admission. Since an admitted reply releases its slot only after its
+//! write, the reader never waits on the lock behind a large response, and a
+//! pipelined lookup never overtakes an earlier query's reply.
+//!
 //! ## Backpressure and admission control
 //!
 //! Two counters bound every queue in the server:
 //!
 //! - **Per-connection in-flight cap** ([`ServeConfig::per_conn_inflight`]):
 //!   a connection may have at most this many admitted-but-unwritten
-//!   queries. The counter is decremented only when the *response hits the
-//!   socket*, so a slow reader cannot grow its response queue past the cap
-//!   — excess requests get a typed `Backpressure` error instead of
-//!   unbounded buffering.
+//!   requests. The counter is decremented only when the *response hits the
+//!   socket* (by the writer, or by the reader for a reply it wrote), so a
+//!   slow reader cannot grow its response queue past the cap — excess
+//!   requests get a typed `Backpressure` error instead of unbounded
+//!   buffering.
 //! - **Global in-flight cap** ([`ServeConfig::global_inflight`]): bounds
-//!   queued-plus-executing queries across all connections. Past it, new
-//!   queries are refused with a typed `Overloaded` error *without being
+//!   queued-plus-executing requests across all connections. Past it, new
+//!   ones are refused with a typed `Overloaded` error *without being
 //!   executed* — load sheds at admission, not by stalling.
 //!
-//! Control requests (stats/meta/ping) are answered inline on the reader
-//! thread and bypass admission; they stay responsive under flood.
+//! Inline point lookups are admitted like any other request. Control
+//! requests bypass admission, so they stay responsive under flood.
 //!
 //! ## Timeouts, idle reaping, shutdown
 //!
@@ -26,11 +49,12 @@
 //! no traffic and no in-flight work for [`ServeConfig::idle_timeout`] is
 //! reaped; a peer stalled mid-frame is cut off as a dead sender). Writes
 //! carry [`ServeConfig::write_timeout`]; a client that stops draining
-//! responses is disconnected rather than blocking a writer forever. A
-//! zero timeout cannot be armed, so [`Server::start`] refuses it, and a
-//! connection whose socket options cannot be set is closed, not served.
-//! Each response leaves as one buffer in one write with `TCP_NODELAY` set,
-//! so a small reply never waits in the kernel for the client's delayed ACK.
+//! responses is disconnected rather than blocking the reader or the writer
+//! forever. A zero timeout cannot be armed, so [`Server::start`] refuses
+//! it, and a connection whose socket options cannot be set is closed, not
+//! served. Each response leaves as one buffer in one write with
+//! `TCP_NODELAY` set, so a small reply never waits in the kernel for the
+//! client's delayed ACK.
 //!
 //! Graceful shutdown (the wire `Shutdown` request, or
 //! [`ServerHandle::shutdown`]) stops accepting, lets every admitted query
@@ -42,7 +66,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,12 +87,13 @@ use crate::wire::{
 
 /// How often blocked reads wake to check idle/shutdown state.
 const READ_TICK: Duration = Duration::from_millis(50);
-/// Extra writer-queue slots beyond the in-flight cap, for inline control
-/// replies and backpressure rejections.
+/// Extra writer-queue slots beyond the in-flight cap, for control replies
+/// and rejections made while the connection has admitted work in flight.
 const CONTROL_SLACK: usize = 64;
-/// A connection's writer reuses one frame buffer across responses; past this
-/// capacity it is released after the write, so one multi-MiB scan does not
-/// stay pinned for the life of every connection that ever served one.
+/// A connection's reader and writer each reuse one frame buffer across
+/// responses; past this capacity it is released after the write, so one
+/// multi-MiB scan does not stay pinned for the life of every connection
+/// that ever served one.
 const FRAME_BUF_RETAIN: usize = 256 * 1024;
 
 /// Stage labels; `serve.stage.<label>` histograms (µs) are registered for
@@ -263,10 +288,23 @@ enum WriterMsg {
     Query(Response, Option<Box<WriteTrace>>),
 }
 
-/// One admitted unit of work: a full query or a point lookup.
+/// One admitted unit of work: a full query or a lookup.
 enum Work {
     Query(Query),
     Lookup(Lookup),
+}
+
+impl Work {
+    /// Hash and number lookups: an index probe and a frame read, cheap
+    /// enough to answer on the reader thread.
+    fn is_point_lookup(&self) -> bool {
+        matches!(
+            self,
+            Work::Lookup(
+                Lookup::BlockByHash { .. } | Lookup::TxByHash { .. } | Lookup::BlockByNumber { .. }
+            )
+        )
+    }
 }
 
 /// Trace state carried with an admitted job (tracing on): stage timings
@@ -278,13 +316,14 @@ struct JobTrace {
     seq: u64,
     read_us: u64,
     admit_us: u64,
-    /// When the job entered the queue (queue wait measures from here).
-    queued_at: Instant,
+    /// When the job entered the queue (queue wait measures from here);
+    /// `None` for an inline lookup, which never waits in it.
+    queued_at: Option<Instant>,
 }
 
-/// Trace state handed from the worker to the writer: everything known
-/// before the write stage, plus when execution finished (write wait + the
-/// actual socket write measure from there).
+/// Trace state handed from execution to the write: everything known before
+/// the write stage, plus when execution finished (write wait + the actual
+/// socket write measure from there).
 struct WriteTrace {
     t0: Instant,
     seq: u64,
@@ -352,9 +391,54 @@ impl SlowLog {
     }
 }
 
+/// What a connection's reader and writer threads share.
 struct ConnShared {
-    /// Admitted queries whose responses have not yet hit the socket.
+    /// Admitted requests whose responses have not yet hit the socket.
     inflight: AtomicUsize,
+    /// The socket's write half, locked across each whole frame write so the
+    /// two threads' frames never interleave; `None` once a write failed.
+    out: Mutex<Option<TcpStream>>,
+}
+
+impl ConnShared {
+    /// Writes one response through `frame` (the calling thread's reusable
+    /// buffer), releases its connection slot if it was `admitted`, and
+    /// finishes its trace. A failed write (slow or dead client) cuts the
+    /// socket so the reader unblocks, and every later write on this
+    /// connection is skipped. Returns whether the response was written.
+    fn write(
+        &self,
+        state: &State,
+        frame: &mut Vec<u8>,
+        resp: &Response,
+        trace: Option<&WriteTrace>,
+        admitted: bool,
+    ) -> bool {
+        let mut out = self.out.lock().expect("connection write half");
+        let written = out.as_mut().is_some_and(|stream| {
+            write_frame_with(stream, frame, |buf| encode_response_into(buf, resp)).is_ok()
+        });
+        if !written {
+            if let Some(stream) = out.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        drop(out);
+        if admitted {
+            // Released as soon as the bytes are out: the client may already
+            // be sending its next request, which should find the slot free.
+            self.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+        if frame.capacity() > FRAME_BUF_RETAIN {
+            *frame = Vec::new();
+        }
+        // Only written responses are traced: a dead connection has no
+        // meaningful end-to-end latency.
+        if let Some(trace) = trace.filter(|_| written) {
+            state.finish_trace(trace);
+        }
+        written
+    }
 }
 
 struct State {
@@ -369,6 +453,8 @@ struct State {
     /// One histogram per [`STAGES`] entry, plus `serve.stage.total` last.
     stage: Vec<Arc<Histogram>>,
     queries: Arc<Counter>,
+    /// Admitted requests answered on the reader thread.
+    inline: Arc<Counter>,
     overloaded: Arc<Counter>,
     backpressure: Arc<Counter>,
     control: Arc<Counter>,
@@ -384,7 +470,7 @@ impl State {
         self.registry.snapshot().to_json(TimingMode::Wall)
     }
 
-    /// Finishes one traced request on the writer thread: the write stage is
+    /// Finishes one traced request after its write: the write stage is
     /// response-queue wait + encode + socket write, total is first byte in
     /// → last byte out.
     fn finish_trace(&self, t: &WriteTrace) {
@@ -505,6 +591,7 @@ impl Server {
             latency,
             stage,
             queries: registry.counter("serve.queries"),
+            inline: registry.counter("serve.inline"),
             overloaded: registry.counter("serve.rejected.overloaded"),
             backpressure: registry.counter("serve.rejected.backpressure"),
             control: registry.counter("serve.control"),
@@ -611,13 +698,16 @@ impl ServerHandle {
 
 /// Samples daemon gauges into the series ring on the accept loop's cadence
 /// (the loop ticks every ~10 ms while idle, so a 1 s interval holds).
-/// Shed rate and cache hit rate are *windowed*: deltas since the previous
-/// sample, not lifetime totals — the series shows what is happening now.
+/// Shed rate, cache hit rate and inline share are *windowed*: deltas since
+/// the previous sample, not lifetime totals — the series shows what is
+/// happening now.
 struct Sampler {
     last: Instant,
     prev_shed: u64,
     prev_hits: u64,
     prev_misses: u64,
+    prev_queries: u64,
+    prev_inline: u64,
 }
 
 impl Sampler {
@@ -628,6 +718,8 @@ impl Sampler {
             prev_shed: shed_total(state),
             prev_hits,
             prev_misses,
+            prev_queries: state.queries.get(),
+            prev_inline: state.inline.get(),
         }
     }
 
@@ -660,6 +752,13 @@ impl Sampler {
             dh as f64 / (dh + dm) as f64
         };
         values.insert("cache_hit_rate".to_string(), hit_rate);
+        // A request counts in `serve.queries` before `serve.inline`.
+        let inline = state.inline.get();
+        let queries = state.queries.get();
+        let (dq, di) = (queries - self.prev_queries, inline - self.prev_inline);
+        (self.prev_queries, self.prev_inline) = (queries, inline);
+        let inline_share = if dq == 0 { 0.0 } else { di as f64 / dq as f64 };
+        values.insert("inline_share".to_string(), inline_share);
         for (i, ep) in ENDPOINTS.iter().enumerate() {
             let snap = state.latency[i].snapshot();
             if snap.count > 0 {
@@ -703,62 +802,9 @@ fn accept_loop(
     }
 }
 
-fn worker_loop(state: &Arc<State>, queue: &Arc<JobQueue>) {
+fn worker_loop(state: &State, queue: &JobQueue) {
     while let Some(job) = queue.pop() {
-        let queue_us = job
-            .trace
-            .as_ref()
-            .map(|t| t.queued_at.elapsed().as_micros() as u64);
-        if job.trace.is_some() {
-            // Evaluation runs on this thread; drain the thread-local cache
-            // delta so the post-run take attributes exactly this request.
-            let _ = take_thread_cache_delta();
-        }
-        let started = Instant::now();
-        let (endpoint, result) = match &job.work {
-            Work::Query(query) => (
-                endpoint_index(&query.projection),
-                state.exec.run(&state.pool, query).map(ResponseBody::Output),
-            ),
-            Work::Lookup(lookup) => (
-                lookup_endpoint_index(lookup),
-                state
-                    .exec
-                    .run_lookup(&state.pool, lookup)
-                    .map(ResponseBody::Lookup),
-            ),
-        };
-        let micros = started.elapsed().as_micros() as u64;
-        let trace = job.trace.map(|t| {
-            let (cache_hits, cache_misses) = take_thread_cache_delta();
-            Box::new(WriteTrace {
-                t0: t.t0,
-                seq: t.seq,
-                id: job.id,
-                endpoint,
-                read_us: t.read_us,
-                admit_us: t.admit_us,
-                queue_us: queue_us.unwrap_or(0),
-                execute_us: micros,
-                cache_hits,
-                cache_misses,
-                finished_at: Instant::now(),
-            })
-        });
-        state.latency[endpoint].record(micros);
-        state.global_inflight.fetch_sub(1, Ordering::SeqCst);
-        let body = match result {
-            Ok(body) => body,
-            Err(QueryError::Unsupported { detail }) => ResponseBody::Error(WireError {
-                kind: ErrorKind::Unsupported,
-                detail,
-            }),
-            Err(err) => ResponseBody::Error(WireError {
-                kind: ErrorKind::Archive,
-                detail: err.to_string(),
-            }),
-        };
-        let resp = Response { id: job.id, body };
+        let (resp, trace) = execute(state, job.id, &job.work, job.trace);
         if job.reply.send(WriterMsg::Query(resp, trace)).is_err() {
             // Writer is gone (dead connection); release its in-flight slot.
             job.conn.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -766,58 +812,89 @@ fn worker_loop(state: &Arc<State>, queue: &Arc<JobQueue>) {
     }
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    rx: Receiver<WriterMsg>,
-    conn: Arc<ConnShared>,
-    state: Arc<State>,
-) {
-    let mut dead = false;
+/// Runs one admitted unit of work on the calling thread (a worker, or the
+/// reader for an inline point lookup), releases its global slot, and turns
+/// the result or error into the response plus the trace its write finishes.
+fn execute(
+    state: &State,
+    id: u64,
+    work: &Work,
+    trace: Option<JobTrace>,
+) -> (Response, Option<Box<WriteTrace>>) {
+    let queue_us = trace
+        .as_ref()
+        .and_then(|t| t.queued_at)
+        .map_or(0, |at| at.elapsed().as_micros() as u64);
+    if trace.is_some() {
+        // Evaluation runs on this thread; drain the thread-local cache
+        // delta so the post-run take attributes exactly this request.
+        let _ = take_thread_cache_delta();
+    }
+    let started = Instant::now();
+    let (endpoint, result) = match work {
+        Work::Query(query) => (
+            endpoint_index(&query.projection),
+            state.exec.run(&state.pool, query).map(ResponseBody::Output),
+        ),
+        Work::Lookup(lookup) => (
+            lookup_endpoint_index(lookup),
+            state
+                .exec
+                .run_lookup(&state.pool, lookup)
+                .map(ResponseBody::Lookup),
+        ),
+    };
+    let micros = started.elapsed().as_micros() as u64;
+    let trace = trace.map(|t| {
+        let (cache_hits, cache_misses) = take_thread_cache_delta();
+        Box::new(WriteTrace {
+            t0: t.t0,
+            seq: t.seq,
+            id,
+            endpoint,
+            read_us: t.read_us,
+            admit_us: t.admit_us,
+            queue_us,
+            execute_us: micros,
+            cache_hits,
+            cache_misses,
+            finished_at: Instant::now(),
+        })
+    });
+    state.latency[endpoint].record(micros);
+    state.global_inflight.fetch_sub(1, Ordering::SeqCst);
+    let body = match result {
+        Ok(body) => body,
+        Err(QueryError::Unsupported { detail }) => ResponseBody::Error(WireError {
+            kind: ErrorKind::Unsupported,
+            detail,
+        }),
+        Err(err) => ResponseBody::Error(WireError {
+            kind: ErrorKind::Archive,
+            detail: err.to_string(),
+        }),
+    };
+    (Response { id, body }, trace)
+}
+
+/// Writes, in arrival order, what the workers and the reader queue for one
+/// connection.
+fn writer_loop(rx: Receiver<WriterMsg>, conn: Arc<ConnShared>, state: Arc<State>) {
     let mut frame = Vec::new();
     for msg in rx {
-        let (resp, admitted, trace) = match msg {
-            WriterMsg::Control(r) => (r, false, None),
-            WriterMsg::Query(r, t) => (r, true, t),
+        let (resp, trace, admitted) = match msg {
+            WriterMsg::Control(resp) => (resp, None, false),
+            WriterMsg::Query(resp, trace) => (resp, trace, true),
         };
-        if !dead {
-            let encode = |out: &mut Vec<u8>| encode_response_into(out, &resp);
-            if write_frame_with(&mut stream, &mut frame, encode).is_err() {
-                // Slow/dead client: cut the socket so the reader unblocks,
-                // then keep draining messages to release in-flight slots.
-                dead = true;
-                let _ = stream.shutdown(Shutdown::Both);
-            } else if let Some(trace) = trace {
-                // Only successfully written responses are traced: a dead
-                // connection has no meaningful end-to-end latency.
-                state.finish_trace(&trace);
-            }
-            if frame.capacity() > FRAME_BUF_RETAIN {
-                frame = Vec::new();
-            }
-        }
-        if admitted {
-            conn.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+        conn.write(&state, &mut frame, &resp, trace.as_deref(), admitted);
     }
 }
 
-/// Sends an inline (non-admitted) reply; a full queue here means the
-/// client ignored `CONTROL_SLACK` rejections in a row, so give up on it.
-fn send_control(tx: &SyncSender<WriterMsg>, stream: &TcpStream, resp: Response) -> bool {
-    match tx.try_send(WriterMsg::Control(resp)) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-            let _ = stream.shutdown(Shutdown::Both);
-            false
-        }
-    }
-}
-
-fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &Arc<JobQueue>) {
+fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &JobQueue) {
     // Socket options are per socket, not per handle: set before the clone,
-    // they hold for the writer's half too. Without `TCP_NODELAY` a response
+    // they hold for the write half too. Without `TCP_NODELAY` a response
     // can sit in the kernel waiting for the client's delayed ACK (~40 ms);
-    // without the write timeout a stalled client blocks its writer forever.
+    // without the write timeout a stalled client blocks a write forever.
     if stream.set_read_timeout(Some(READ_TICK)).is_err()
         || stream.set_nodelay(true).is_err()
         || stream
@@ -833,6 +910,7 @@ fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &Arc<JobQueue>) {
 
     let conn = Arc::new(ConnShared {
         inflight: AtomicUsize::new(0),
+        out: Mutex::new(Some(write_half)),
     });
     let (tx, rx) = sync_channel::<WriterMsg>(state.cfg.per_conn_inflight + CONTROL_SLACK);
     let writer = {
@@ -840,7 +918,7 @@ fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &Arc<JobQueue>) {
         let state = Arc::clone(state);
         std::thread::Builder::new()
             .name("serve-writer".into())
-            .spawn(move || writer_loop(write_half, rx, conn, state))
+            .spawn(move || writer_loop(rx, conn, state))
     };
     let writer = match writer {
         Ok(w) => w,
@@ -848,191 +926,178 @@ fn conn_loop(stream: TcpStream, state: &Arc<State>, queue: &Arc<JobQueue>) {
     };
 
     state.connections.add(1);
-    serve_requests(stream, state, queue, &conn, &tx);
+    let mut reader = Reader {
+        stream,
+        state,
+        queue,
+        conn: &conn,
+        tx,
+        frame: Vec::new(),
+    };
+    reader.serve();
     state.connections.add(-1);
 
     // Dropping our sender lets the writer drain: it exits once the jobs
     // still holding clones (in-flight queries) finish and are flushed.
-    drop(tx);
+    drop(reader);
     let _ = writer.join();
 }
 
-fn serve_requests(
-    mut stream: TcpStream,
-    state: &Arc<State>,
-    queue: &Arc<JobQueue>,
-    conn: &Arc<ConnShared>,
-    tx: &SyncSender<WriterMsg>,
-) {
-    let mut frames = FrameReader::new();
-    let mut last_activity = Instant::now();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let payload = match frames.poll_frame(&mut stream, state.cfg.idle_timeout) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => {
-                let idle = conn.inflight.load(Ordering::SeqCst) == 0 && !frames.mid_frame();
-                if idle && last_activity.elapsed() >= state.cfg.idle_timeout {
-                    return; // idle reap
-                }
-                continue;
-            }
-            Err(FrameError::Oversized(len)) => {
-                let resp = Response {
-                    id: 0,
-                    body: ResponseBody::Error(WireError {
-                        kind: ErrorKind::BadRequest,
-                        detail: format!("frame length {len} exceeds cap"),
-                    }),
-                };
-                send_control(tx, &stream, resp);
-                return; // stream position is unrecoverable
-            }
-            Err(_) => return, // closed / corrupt / io: transport death
-        };
-        last_activity = Instant::now();
-        // Start of the read stage: when this frame's first byte arrived.
-        let t0 = frames.last_frame_started().unwrap_or(last_activity);
+/// A connection's reader thread: decodes requests, answers point lookups
+/// and control requests itself while nothing admitted is in flight, and
+/// queues everything else for the workers and the writer.
+struct Reader<'a> {
+    /// The socket's read half.
+    stream: TcpStream,
+    state: &'a State,
+    queue: &'a JobQueue,
+    conn: &'a Arc<ConnShared>,
+    tx: SyncSender<WriterMsg>,
+    /// Frame buffer for the replies the reader writes itself.
+    frame: Vec<u8>,
+}
 
-        let req = match decode_request(&payload) {
-            Ok(req) => req,
-            Err(err) => {
-                let resp = Response {
-                    id: 0,
-                    body: ResponseBody::Error(WireError {
-                        kind: ErrorKind::BadRequest,
-                        detail: err.to_string(),
-                    }),
-                };
+impl Reader<'_> {
+    /// Serves requests until the peer goes away, the connection idles out, a
+    /// reply cannot be delivered, or the daemon shuts down.
+    fn serve(&mut self) {
+        let state = self.state;
+        let mut frames = FrameReader::new();
+        let mut last_activity = Instant::now();
+        while !state.shutdown.load(Ordering::SeqCst) {
+            let payload = match frames.poll_frame(&mut self.stream, state.cfg.idle_timeout) {
+                Ok(Some(payload)) => payload,
+                Ok(None) => {
+                    let idle =
+                        self.conn.inflight.load(Ordering::SeqCst) == 0 && !frames.mid_frame();
+                    if idle && last_activity.elapsed() >= state.cfg.idle_timeout {
+                        return; // idle reap
+                    }
+                    continue;
+                }
+                Err(FrameError::Oversized(len)) => {
+                    self.reply(bad_request(format!("frame length {len} exceeds cap")));
+                    return; // stream position is unrecoverable
+                }
+                Err(_) => return, // closed / corrupt / io: transport death
+            };
+            last_activity = Instant::now();
+            // Start of the read stage: when this frame's first byte arrived.
+            let t0 = frames.last_frame_started().unwrap_or(last_activity);
+
+            let delivered = match decode_request(&payload) {
                 // Framing was intact, so the stream stays in sync; reject
                 // just this request and keep serving.
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-                continue;
-            }
-        };
-
-        match req.body {
-            RequestBody::Ping => {
-                state.control.incr();
-                if !send_control(
-                    tx,
-                    &stream,
-                    Response {
-                        id: req.id,
-                        body: ResponseBody::Pong,
-                    },
-                ) {
-                    return;
-                }
-            }
-            RequestBody::Stats => {
-                state.control.incr();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::Stats(state.stats_json()),
-                };
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-            }
-            RequestBody::Meta => {
-                state.control.incr();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::Meta(state.meta),
-                };
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-            }
-            RequestBody::Shutdown => {
-                state.control.incr();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::ShutdownAck,
-                };
-                send_control(tx, &stream, resp);
-                state.shutdown.store(true, Ordering::SeqCst);
+                Err(err) => self.reply(bad_request(err.to_string())),
+                Ok(req) => match control_reply(state, req.body) {
+                    Ok(body) => {
+                        state.control.incr();
+                        self.reply(Response { id: req.id, body })
+                    }
+                    Err(work) => self.submit(req.id, work, t0),
+                },
+            };
+            if !delivered {
                 return;
-            }
-            RequestBody::ObsSeries => {
-                state.control.incr();
-                let ring = state.series.lock().expect("series ring").clone();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::ObsSeries(ring),
-                };
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-            }
-            RequestBody::ObsSlowLog => {
-                state.control.incr();
-                let log = state.slow.lock().expect("slow log").snapshot();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::ObsSlowLog(log),
-                };
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-            }
-            RequestBody::Metrics => {
-                state.control.incr();
-                let resp = Response {
-                    id: req.id,
-                    body: ResponseBody::Metrics(prometheus_text(&state.registry.snapshot())),
-                };
-                if !send_control(tx, &stream, resp) {
-                    return;
-                }
-            }
-            RequestBody::Query(query) => {
-                let read_us = t0.elapsed().as_micros() as u64;
-                let admit_started = Instant::now();
-                if let Some(rejection) = admit(state, conn, req.id) {
-                    if !send_control(tx, &stream, rejection) {
-                        return;
-                    }
-                    continue;
-                }
-                state.queries.incr();
-                queue.push(Job {
-                    id: req.id,
-                    work: Work::Query(query),
-                    reply: tx.clone(),
-                    conn: Arc::clone(conn),
-                    trace: job_trace(state, t0, read_us, admit_started),
-                });
-            }
-            RequestBody::Lookup(lookup) => {
-                let read_us = t0.elapsed().as_micros() as u64;
-                let admit_started = Instant::now();
-                if let Some(rejection) = admit(state, conn, req.id) {
-                    if !send_control(tx, &stream, rejection) {
-                        return;
-                    }
-                    continue;
-                }
-                state.queries.incr();
-                queue.push(Job {
-                    id: req.id,
-                    work: Work::Lookup(lookup),
-                    reply: tx.clone(),
-                    conn: Arc::clone(conn),
-                    trace: job_trace(state, t0, read_us, admit_started),
-                });
             }
         }
     }
+
+    /// Admits one query or lookup. A point lookup on a connection with
+    /// nothing else admitted in flight runs and is written right here;
+    /// anything else goes to the worker queue and the writer thread.
+    fn submit(&mut self, id: u64, work: Work, t0: Instant) -> bool {
+        let state = self.state;
+        let read_us = t0.elapsed().as_micros() as u64;
+        let admit_started = Instant::now();
+        let earlier = match admit(state, self.conn) {
+            Ok(earlier) => earlier,
+            Err(rejection) => {
+                let body = ResponseBody::Error(rejection);
+                return self.reply(Response { id, body });
+            }
+        };
+        state.queries.incr();
+        let inline = earlier == 0 && work.is_point_lookup();
+        let trace = job_trace(state, t0, read_us, admit_started, !inline);
+        if !inline {
+            self.queue.push(Job {
+                id,
+                work,
+                reply: self.tx.clone(),
+                conn: Arc::clone(self.conn),
+                trace,
+            });
+            return true;
+        }
+        state.inline.incr();
+        let (resp, trace) = execute(state, id, &work, trace);
+        self.conn
+            .write(state, &mut self.frame, &resp, trace.as_deref(), true)
+    }
+
+    /// Sends a reply that holds no admission slot (a control reply or a
+    /// rejection): written here when nothing admitted is in flight, else
+    /// queued behind the writer. A full queue means the client ignored
+    /// `CONTROL_SLACK` such replies in a row, so the connection is cut.
+    fn reply(&mut self, resp: Response) -> bool {
+        if self.conn.inflight.load(Ordering::SeqCst) == 0 {
+            return self
+                .conn
+                .write(self.state, &mut self.frame, &resp, None, false);
+        }
+        if self.tx.try_send(WriterMsg::Control(resp)).is_ok() {
+            return true;
+        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+        false
+    }
 }
 
-/// Builds the trace an admitted job carries (`None` with tracing off).
-fn job_trace(state: &State, t0: Instant, read_us: u64, admit_started: Instant) -> Option<JobTrace> {
+/// A `BadRequest` rejection of a frame whose request id is unknown.
+fn bad_request(detail: String) -> Response {
+    Response {
+        id: 0,
+        body: ResponseBody::Error(WireError {
+            kind: ErrorKind::BadRequest,
+            detail,
+        }),
+    }
+}
+
+/// The reply to a control request, built on the reader thread. Queries and
+/// lookups are admitted work, handed back as `Err`. `Shutdown` flips the
+/// daemon's flag; the reader stops once the acknowledgement is sent.
+fn control_reply(state: &State, body: RequestBody) -> Result<ResponseBody, Work> {
+    Ok(match body {
+        RequestBody::Query(query) => return Err(Work::Query(query)),
+        RequestBody::Lookup(lookup) => return Err(Work::Lookup(lookup)),
+        RequestBody::Ping => ResponseBody::Pong,
+        RequestBody::Stats => ResponseBody::Stats(state.stats_json()),
+        RequestBody::Meta => ResponseBody::Meta(state.meta),
+        RequestBody::ObsSeries => {
+            ResponseBody::ObsSeries(state.series.lock().expect("series ring").clone())
+        }
+        RequestBody::ObsSlowLog => {
+            ResponseBody::ObsSlowLog(state.slow.lock().expect("slow log").snapshot())
+        }
+        RequestBody::Metrics => ResponseBody::Metrics(prometheus_text(&state.registry.snapshot())),
+        RequestBody::Shutdown => {
+            state.shutdown.store(true, Ordering::SeqCst);
+            ResponseBody::ShutdownAck
+        }
+    })
+}
+
+/// Builds the trace an admitted job carries (`None` with tracing off);
+/// `queued` starts its queue-wait clock.
+fn job_trace(
+    state: &State,
+    t0: Instant,
+    read_us: u64,
+    admit_started: Instant,
+    queued: bool,
+) -> Option<JobTrace> {
     if !state.cfg.tracing {
         return None;
     }
@@ -1041,19 +1106,15 @@ fn job_trace(state: &State, t0: Instant, read_us: u64, admit_started: Instant) -
         seq: state.request_seq.fetch_add(1, Ordering::Relaxed),
         read_us,
         admit_us: admit_started.elapsed().as_micros() as u64,
-        queued_at: Instant::now(),
+        queued_at: queued.then(Instant::now),
     })
 }
 
-/// Runs admission control for one query. `None` admits (both counters
-/// incremented); `Some(resp)` rejects with the typed reason.
-fn admit(state: &State, conn: &ConnShared, id: u64) -> Option<Response> {
-    let reject = |kind: ErrorKind, detail: String| {
-        Some(Response {
-            id,
-            body: ResponseBody::Error(WireError { kind, detail }),
-        })
-    };
+/// Runs admission control for one request. `Ok` admits (both counters
+/// incremented) and carries how many requests the connection already had
+/// admitted in flight; `Err` is the typed rejection.
+fn admit(state: &State, conn: &ConnShared) -> Result<usize, WireError> {
+    let reject = |kind: ErrorKind, detail: String| Err(WireError { kind, detail });
     if state.shutdown.load(Ordering::SeqCst) {
         return reject(ErrorKind::ShuttingDown, "daemon is draining".into());
     }
@@ -1082,7 +1143,7 @@ fn admit(state: &State, conn: &ConnShared, id: u64) -> Option<Response> {
             ),
         );
     }
-    None
+    Ok(per_conn)
 }
 
 #[cfg(test)]
