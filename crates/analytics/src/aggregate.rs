@@ -1,17 +1,20 @@
-//! Shared aggregation cells and series builders.
+//! The paper aggregates, each as one fold.
 //!
-//! Both the live [`crate::Pipeline`] and fork-query's archive-backed
-//! projections fold per-bucket means over `f64` values. Floating-point
-//! addition is not associative, so "the same numbers in the same order"
-//! is the *only* way two independent consumers produce bit-identical
-//! series. Keeping the cell and the series construction here — and feeding
-//! both consumers in per-side ingestion order — makes that equality hold by
-//! construction instead of by tolerance.
+//! The live [`crate::Pipeline`] and fork-query's archive-backed projections
+//! both compute daily difficulty, transactions per day and echo windows.
+//! Each of those has exactly one fold here — the cell, the per-day
+//! bucketing and the series it finishes into — and both consumers push
+//! records into it. Floating-point addition is not associative, so "the
+//! same numbers in the same order" is the *only* way two consumers produce
+//! bit-identical series; one fold fed in per-side ingestion order makes
+//! that equality hold by construction instead of by tolerance.
 
 use std::collections::BTreeMap;
 
 use fork_primitives::SimTime;
+use fork_replay::{EchoDetector, Side};
 
+use crate::record::{BlockRecord, TxRecord};
 use crate::series::TimeSeries;
 
 /// Mean-accumulator cell: a running `sum / n` fold in insertion order.
@@ -70,6 +73,72 @@ pub fn count_series(
     s
 }
 
+/// Mean block difficulty per day: Figure 2's top panel and the
+/// `Difficulty` projection.
+#[derive(Debug, Clone, Default)]
+pub struct DailyDifficulty(BTreeMap<u64, MeanCell>);
+
+impl DailyDifficulty {
+    /// Folds one block's difficulty into its day's mean.
+    pub fn push(&mut self, b: &BlockRecord) {
+        self.0
+            .entry(b.day())
+            .or_default()
+            .push(b.difficulty.to_f64_lossy());
+    }
+
+    /// The per-day cells, ascending by day.
+    pub fn days(&self) -> &BTreeMap<u64, MeanCell> {
+        &self.0
+    }
+
+    /// The per-day means as a series.
+    pub fn series(&self, label: impl Into<String>) -> TimeSeries {
+        mean_series(label, &self.0, 86_400)
+    }
+}
+
+/// Transactions per day: Figure 2's middle panel and each side of the
+/// `TxRatioPerDay` projection.
+#[derive(Debug, Clone, Default)]
+pub struct DailyTxs(BTreeMap<u64, u64>);
+
+impl DailyTxs {
+    /// Counts one transaction into its day.
+    pub fn push(&mut self, t: &TxRecord) {
+        *self.0.entry(t.day()).or_default() += 1;
+    }
+
+    /// The per-day counts, ascending by day.
+    pub fn days(&self) -> &BTreeMap<u64, u64> {
+        &self.0
+    }
+
+    /// The per-day counts as a series.
+    pub fn series(&self, label: impl Into<String>) -> TimeSeries {
+        count_series(label, &self.0, 86_400)
+    }
+}
+
+/// Echoes into `side`, summed over consecutive `window_days`-day windows of
+/// the days `keep_day` admits. The detector must have seen both sides'
+/// transactions in global ingestion order. One-day windows over every day
+/// are Figure 4's echoes per day.
+pub fn echo_windows(
+    detector: &EchoDetector,
+    side: Side,
+    window_days: u64,
+    keep_day: impl Fn(u64) -> bool,
+) -> TimeSeries {
+    let mut windows = BTreeMap::new();
+    for (day, stats) in detector.daily(side) {
+        if keep_day(day) {
+            *windows.entry(day / window_days).or_default() += stats.echoes;
+        }
+    }
+    count_series(side.label(), &windows, window_days * 86_400)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,5 +168,26 @@ mod tests {
         counts.insert(3u64, 7u64);
         let c = count_series("c", &counts, 3_600);
         assert_eq!(c.points, vec![(3 * 3_600, 7.0)]);
+    }
+
+    #[test]
+    fn echo_windows_sum_kept_days() {
+        use fork_primitives::H256;
+        let mut detector = EchoDetector::new();
+        // One echo into ETC on each of days 0, 1, 6, 7 and 9.
+        for (id, day) in [0u64, 1, 6, 7, 9].into_iter().enumerate() {
+            detector.observe(Side::Eth, H256([id as u8; 32]), day);
+            detector.observe(Side::Etc, H256([id as u8; 32]), day);
+        }
+        let daily = echo_windows(&detector, Side::Etc, 1, |_| true);
+        assert_eq!(daily.points.len(), 5);
+        let weekly = echo_windows(&detector, Side::Etc, 7, |_| true);
+        assert_eq!(weekly.points, vec![(0, 3.0), (7 * 86_400, 2.0)]);
+        let kept = echo_windows(&detector, Side::Etc, 7, |day| day >= 1);
+        assert_eq!(kept.points, vec![(0, 2.0), (7 * 86_400, 2.0)]);
+        assert!(echo_windows(&detector, Side::Eth, 1, |_| true)
+            .points
+            .iter()
+            .all(|&(_, n)| n == 0.0));
     }
 }

@@ -12,7 +12,9 @@ use fork_pools::DailyWinners;
 use fork_primitives::SimTime;
 use fork_replay::{EchoDetector, Side};
 
-use crate::aggregate::{count_series, mean_series, MeanCell};
+use crate::aggregate::{
+    count_series, echo_windows, mean_series, DailyDifficulty, DailyTxs, MeanCell,
+};
 use crate::record::{BlockRecord, TxRecord};
 use crate::series::TimeSeries;
 
@@ -22,8 +24,8 @@ struct NetworkAggregates {
     hourly_blocks: BTreeMap<u64, u64>,
     hourly_difficulty: BTreeMap<u64, MeanCell>,
     hourly_delta: BTreeMap<u64, MeanCell>,
-    daily_difficulty: BTreeMap<u64, MeanCell>,
-    daily_txs: BTreeMap<u64, u64>,
+    daily_difficulty: DailyDifficulty,
+    daily_txs: DailyTxs,
     daily_contract_txs: BTreeMap<u64, u64>,
     daily_winners: BTreeMap<u64, DailyWinners>,
     last_timestamp: Option<u64>,
@@ -39,7 +41,7 @@ impl NetworkAggregates {
         *self.hourly_blocks.entry(hour).or_default() += 1;
         let d = b.difficulty.to_f64_lossy();
         self.hourly_difficulty.entry(hour).or_default().push(d);
-        self.daily_difficulty.entry(day).or_default().push(d);
+        self.daily_difficulty.push(b);
         if let Some(prev) = self.last_timestamp {
             let delta = b.timestamp.saturating_sub(prev) as f64;
             self.hourly_delta.entry(hour).or_default().push(delta);
@@ -54,10 +56,9 @@ impl NetworkAggregates {
     }
 
     fn ingest_tx(&mut self, t: &TxRecord) {
-        let day = t.day();
-        *self.daily_txs.entry(day).or_default() += 1;
+        self.daily_txs.push(t);
         if t.is_contract {
-            *self.daily_contract_txs.entry(day).or_default() += 1;
+            *self.daily_contract_txs.entry(t.day()).or_default() += 1;
         }
         self.total_txs += 1;
     }
@@ -142,12 +143,12 @@ impl Pipeline {
 
     /// Mean difficulty per day — Figure 2 top panel.
     pub fn daily_difficulty(&self, side: Side) -> TimeSeries {
-        mean_series(side.label(), &self.side(side).daily_difficulty, 86_400)
+        self.side(side).daily_difficulty.series(side.label())
     }
 
     /// Transactions per day — Figure 2 middle panel.
     pub fn txs_per_day(&self, side: Side) -> TimeSeries {
-        count_series(side.label(), &self.side(side).daily_txs, 86_400)
+        self.side(side).daily_txs.series(side.label())
     }
 
     /// Percentage of transactions that are contract interactions —
@@ -155,7 +156,7 @@ impl Pipeline {
     pub fn contract_tx_percent(&self, side: Side) -> TimeSeries {
         let agg = self.side(side);
         let mut s = TimeSeries::new(side.label());
-        for (day, n) in &agg.daily_txs {
+        for (day, n) in agg.daily_txs.days() {
             let c = agg.daily_contract_txs.get(day).copied().unwrap_or(0);
             if *n > 0 {
                 s.push(
@@ -171,7 +172,7 @@ impl Pipeline {
     /// daily against the provided exchange-rate lookup.
     pub fn hashes_per_usd(&self, side: Side, usd_at: impl Fn(SimTime) -> f64) -> TimeSeries {
         let mut s = TimeSeries::new(side.label());
-        for (day, cell) in &self.side(side).daily_difficulty {
+        for (day, cell) in self.side(side).daily_difficulty.days() {
             let t = SimTime::from_unix(day * 86_400);
             if let Some(v) = fork_primitives::units::hashes_per_usd(
                 fork_primitives::U256::from_u128(cell.mean().max(0.0) as u128),
@@ -185,11 +186,7 @@ impl Pipeline {
 
     /// Rebroadcast (echo) transactions per day — Figure 4 bottom panel.
     pub fn echoes_per_day(&self, side: Side) -> TimeSeries {
-        let mut s = TimeSeries::new(side.label());
-        for (day, stats) in self.echo.daily(side) {
-            s.push(SimTime::from_unix(day * 86_400), stats.echoes as f64);
-        }
-        s
+        echo_windows(&self.echo, side, 1, |_| true)
     }
 
     /// Echoes as % of all transactions — Figure 4 top panel.

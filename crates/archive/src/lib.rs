@@ -30,7 +30,9 @@ pub mod writer;
 
 pub use error::ArchiveError;
 pub use format::{ArchiveRecord, Codec};
-pub use reader::{ArchiveReader, OpenReport, RecordStream, SegmentVerify, VerifyReport};
+pub use reader::{
+    merge_by_seq, ArchiveReader, OpenReport, RecordStream, SegmentVerify, VerifyReport,
+};
 pub use segment::{SegmentCursor, SegmentScan};
 pub use sidecar::{
     archive_fingerprint, archive_format_version, HashIndex, IndexEntry, SidecarCheck, SidecarFault,

@@ -4,7 +4,8 @@
 //! not read), recovering torn tails and building per-segment sparse indexes.
 //! From there the reader offers full per-side scans, block-number and
 //! timestamp range queries, a cross-side [`ArchiveReader::replay_into`] that
-//! rebuilds analytics state in the original ingestion order, and a
+//! rebuilds analytics state in the original ingestion order (through
+//! [`merge_by_seq`], the one cross-side merge), and a
 //! [`ArchiveReader::verify`] pass that checksums every frame.
 
 use std::fs;
@@ -280,21 +281,11 @@ impl ArchiveReader {
     }
 
     /// Streams the whole archive into `sink` in the original global
-    /// ingestion order, merging the two per-side streams by sequence number.
+    /// ingestion order (see [`merge_by_seq`]).
     pub fn replay_into_sink(&self, sink: &mut impl LedgerSink) -> Result<u64, ArchiveError> {
-        let mut eth = RecordStream::new(&self.sides[0], None, None).peekable_seq()?;
-        let mut etc = RecordStream::new(&self.sides[1], None, None).peekable_seq()?;
         let mut delivered = 0u64;
-        loop {
-            let take_eth = match (eth.peek_seq(), etc.peek_seq()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(a), Some(b)) => a <= b,
-            };
-            let stream = if take_eth { &mut eth } else { &mut etc };
-            let (_, record) = stream.take()?;
-            match record {
+        for item in merge_by_seq(self.records(Side::Eth), self.records(Side::Etc)) {
+            match item?.1 {
                 ArchiveRecord::Block(b) => sink.block(b),
                 ArchiveRecord::Tx(t) => sink.tx(t),
             }
@@ -436,14 +427,6 @@ impl<'a> RecordStream<'a> {
         }
     }
 
-    /// Wraps into a single-lookahead adapter for the seq-merge in
-    /// `replay_into_sink`.
-    fn peekable_seq(self) -> Result<PeekedStream<'a>, ArchiveError> {
-        let mut stream = self;
-        let head = stream.pull()?;
-        Ok(PeekedStream { stream, head })
-    }
-
     /// Next record, or `None` at the end; propagates corruption errors after
     /// ending the affected segment.
     fn pull(&mut self) -> Result<Option<(u64, ArchiveRecord)>, ArchiveError> {
@@ -486,21 +469,32 @@ impl Iterator for RecordStream<'_> {
     }
 }
 
-struct PeekedStream<'a> {
-    stream: RecordStream<'a>,
-    head: Option<(u64, ArchiveRecord)>,
-}
-
-impl PeekedStream<'_> {
-    fn peek_seq(&self) -> Option<u64> {
-        self.head.as_ref().map(|(seq, _)| *seq)
-    }
-
-    fn take(&mut self) -> Result<(u64, ArchiveRecord), ArchiveError> {
-        let out = self.head.take().expect("take() after peek_seq() = Some");
-        self.head = self.stream.pull()?;
-        Ok(out)
-    }
+/// Merges the ETH and ETC streams, each in its side's write (= seq) order,
+/// into the original global ingestion order by sequence number; ETH wins a
+/// tie. An `Err` from either side comes out as soon as it is read, ahead of
+/// any record still waiting on the other side.
+pub fn merge_by_seq<A, B>(
+    eth: A,
+    etc: B,
+) -> impl Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>>
+where
+    A: Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>>,
+    B: Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>>,
+{
+    let (mut eth, mut etc) = (eth.peekable(), etc.peekable());
+    std::iter::from_fn(move || {
+        let take_eth = match (eth.peek(), etc.peek()) {
+            (None, None) => return None,
+            (Some(Err(_)), _) | (Some(_), None) => true,
+            (_, Some(Err(_))) | (None, Some(_)) => false,
+            (Some(Ok((a, _))), Some(Ok((b, _)))) => a <= b,
+        };
+        if take_eth {
+            eth.next()
+        } else {
+            etc.next()
+        }
+    })
 }
 
 pub(crate) fn read_manifest(path: &Path) -> Result<Option<ArchiveMeta>, ArchiveError> {
@@ -532,4 +526,91 @@ pub(crate) fn read_manifest(path: &Path) -> Result<Option<ArchiveMeta>, ArchiveE
         start_unix: value["start_unix"].as_u64().unwrap_or(0),
         end_unix: value["end_unix"].as_u64().unwrap_or(0),
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fork_primitives::{Address, H256, U256};
+
+    type Item = Result<(u64, ArchiveRecord), ArchiveError>;
+
+    fn ok(side: Side, seq: u64) -> Item {
+        Ok((
+            seq,
+            ArchiveRecord::Block(BlockRecord {
+                network: side,
+                number: seq,
+                hash: H256([seq as u8; 32]),
+                timestamp: seq,
+                difficulty: U256::ONE,
+                beneficiary: Address([0; 20]),
+                gas_used: 0,
+                tx_count: 0,
+                ommer_count: 0,
+            }),
+        ))
+    }
+
+    /// A corrupt frame at byte `offset`.
+    fn err(offset: u64) -> Item {
+        Err(ArchiveError::corrupt(Path::new("seg"), offset, "checksum"))
+    }
+
+    /// The merged stream as seqs, with an error shown as `Err(offset)`.
+    fn merged(eth: Vec<Item>, etc: Vec<Item>) -> Vec<Result<u64, u64>> {
+        merge_by_seq(eth.into_iter(), etc.into_iter())
+            .map(|item| match item {
+                Ok((seq, _)) => Ok(seq),
+                Err(ArchiveError::Corrupt { offset, .. }) => Err(offset),
+                Err(other) => panic!("unexpected {other}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_interleaves_in_global_seq_order() {
+        let eth = [0, 2, 3, 7].map(|s| ok(Side::Eth, s)).into();
+        let etc = [1, 4, 5, 6, 8].map(|s| ok(Side::Etc, s)).into();
+        assert_eq!(merged(eth, etc), (0..=8).map(Ok).collect::<Vec<_>>());
+        // ETH wins a tie.
+        let out: Vec<Side> = merge_by_seq(
+            [ok(Side::Eth, 4)].into_iter(),
+            [ok(Side::Etc, 4)].into_iter(),
+        )
+        .map(|item| match item.unwrap().1 {
+            ArchiveRecord::Block(b) => b.network,
+            ArchiveRecord::Tx(t) => t.network,
+        })
+        .collect();
+        assert_eq!(out, [Side::Eth, Side::Etc]);
+    }
+
+    #[test]
+    fn merge_with_empty_sides() {
+        let three = || [1, 2, 3].map(|s| ok(Side::Eth, s)).into();
+        assert_eq!(merged(three(), vec![]), [Ok(1), Ok(2), Ok(3)]);
+        assert_eq!(merged(vec![], three()), [Ok(1), Ok(2), Ok(3)]);
+        assert!(merged(vec![], vec![]).is_empty());
+    }
+
+    #[test]
+    fn merge_yields_an_error_as_soon_as_either_side_reads_it() {
+        // The error comes out the moment its side is read — before the
+        // other side's waiting record 1 — so a `?` consumer stops there.
+        let eth = vec![ok(Side::Eth, 0), err(40), ok(Side::Eth, 5)];
+        let etc = vec![ok(Side::Etc, 1), ok(Side::Etc, 2)];
+        assert_eq!(merged(eth, etc)[..2], [Ok(0), Err(40)]);
+
+        let eth = vec![ok(Side::Eth, 0), ok(Side::Eth, 3)];
+        let etc = vec![ok(Side::Etc, 1), err(90)];
+        assert_eq!(merged(eth, etc)[..3], [Ok(0), Ok(1), Err(90)]);
+
+        // An error at the head of a side precedes every record.
+        let eth = vec![ok(Side::Eth, 0)];
+        assert_eq!(merged(eth, vec![err(7)])[0], Err(7));
+        let failed: Result<Vec<_>, _> =
+            merge_by_seq(vec![err(7)].into_iter(), vec![ok(Side::Etc, 1)].into_iter()).collect();
+        assert!(failed.is_err());
+    }
 }

@@ -13,18 +13,13 @@
 //! cargo run --release -p fork-bench --bin make-figures -- archive --quick --archive-dir run.arch
 //! cargo run --release -p fork-bench --bin make-figures -- telemetry-diff a.json b.json
 //! cargo run --release -p fork-bench --bin make-figures -- interarrival
-//! cargo run --release -p fork-bench --bin make-figures -- query --quick
 //! cargo run --release -p fork-bench --bin make-figures -- macro --quick
 //! ```
 //!
 //! The `archive` target runs a study streamed into a durable on-disk
 //! archive (or, when `--archive-dir` already holds one, replays it without
 //! re-simulating), verifies every frame checksum, and proves the replayed
-//! figures byte-identical to the live run's. The `query` target drives the
-//! fork-query engine over an archive (creating one first if needed): an
-//! 8-worker executor runs a mixed batch twice, every result is diffed
-//! against a single-threaded naive scan, and `query.md` reports throughput,
-//! cache hit rates, and the `query.latency` histogram. `telemetry-diff`
+//! figures byte-identical to the live run's. `telemetry-diff`
 //! compares two exported telemetry JSON files metric by metric. The
 //! `atlas` target runs the fork atlas — every partition preset across
 //! three seeds under the safety and heal-convergence invariants, plus the
@@ -51,7 +46,8 @@
 //!
 //! An unknown target or flag, or a flag missing its value, prints the
 //! valid targets and exits with status 2. Timing lives in `forkbench`
-//! (`benchmark/`), not here.
+//! (`benchmark/`), not here: its `reanalyze-*` workloads time the query
+//! engine over an archive, and `tests/query_concurrency.rs` checks it.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -78,7 +74,7 @@ const ALL_TARGETS: &[&str] = &[
 ];
 
 /// Targets that run only when named.
-const NAMED_TARGETS: &[&str] = &["archive", "query", "macro", "telemetry-diff", "all"];
+const NAMED_TARGETS: &[&str] = &["archive", "macro", "telemetry-diff", "all"];
 
 fn usage() -> String {
     format!(
@@ -733,239 +729,6 @@ fn main() {
         }
     }
 
-    if wants("query") {
-        use fork_query::{
-            FrameCache, Projection, Query, QueryExecutor, QueryRange, ReaderPool,
-            DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS,
-        };
-        use fork_replay::Side;
-
-        let dir = args
-            .archive_dir
-            .clone()
-            .unwrap_or_else(|| args.out.join("archive"));
-        if !dir.join("manifest.json").is_file() {
-            let study = if args.quick {
-                eprintln!(
-                    "No archive at {}; running and archiving a quick-scale study (seed {})...",
-                    dir.display(),
-                    args.seed
-                );
-                ForkStudy::quick(args.seed)
-            } else {
-                eprintln!(
-                    "No archive at {}; running and archiving the fork-month window \
-                     ({} days, seed {})...",
-                    dir.display(),
-                    args.days_short,
-                    args.seed
-                );
-                ForkStudy::days(args.seed, args.days_short)
-            };
-            let run_span = registry.span("figures.run.query_archive");
-            let guard = run_span.enter();
-            let live = study.archive_to(&dir).expect("archive run");
-            drop(guard);
-            telemetry.merge(&live.telemetry);
-        }
-
-        eprintln!("Querying archive at {}...", dir.display());
-        let reader = fork_archive::ArchiveReader::open(&dir).expect("open archive");
-        let (total_blocks, total_txs) = reader.totals();
-        // Overall block-number and time ranges, for mixed range queries.
-        let mut num_range: Option<(u64, u64)> = None;
-        let mut time_range: Option<(u64, u64)> = None;
-        for side in [Side::Eth, Side::Etc] {
-            for (_, scan) in reader.segments(side) {
-                for (acc, seen) in [
-                    (&mut num_range, scan.block_range),
-                    (&mut time_range, scan.time_range),
-                ] {
-                    if let Some((lo, hi)) = seen {
-                        *acc = Some(match *acc {
-                            None => (lo, hi),
-                            Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                        });
-                    }
-                }
-            }
-        }
-        let mid_half = |lo: u64, hi: u64| {
-            let span = hi - lo;
-            (lo + span / 4, hi - span / 4)
-        };
-
-        let mut queries = Vec::new();
-        for side in [Side::Eth, Side::Etc] {
-            for projection in [
-                Projection::Blocks,
-                Projection::InterArrival,
-                Projection::Difficulty,
-            ] {
-                queries.push(Query {
-                    side: Some(side),
-                    range: QueryRange::All,
-                    projection,
-                });
-                if let Some((lo, hi)) = num_range {
-                    let (first, last) = mid_half(lo, hi);
-                    queries.push(Query {
-                        side: Some(side),
-                        range: QueryRange::Blocks { first, last },
-                        projection,
-                    });
-                }
-            }
-            let tx_range = match time_range {
-                Some((lo, hi)) => {
-                    let (start, end) = mid_half(lo, hi);
-                    QueryRange::Time { start, end }
-                }
-                None => QueryRange::All,
-            };
-            for projection in [
-                Projection::Txs,
-                Projection::Echoes { window_days: 1 },
-                Projection::Echoes { window_days: 7 },
-            ] {
-                queries.push(Query {
-                    side: Some(side),
-                    range: QueryRange::All,
-                    projection,
-                });
-                queries.push(Query {
-                    side: Some(side),
-                    range: tx_range,
-                    projection,
-                });
-            }
-        }
-        queries.push(Query {
-            side: None,
-            range: QueryRange::All,
-            projection: Projection::TxRatioPerDay,
-        });
-
-        let pool = ReaderPool::new(
-            reader,
-            FrameCache::new(DEFAULT_CACHE_BYTES, DEFAULT_CACHE_SHARDS).with_telemetry(&registry),
-        );
-        let exec = QueryExecutor::new(8).with_telemetry(&registry);
-
-        let t = std::time::Instant::now();
-        let first_pass = exec.run_batch(&pool, &queries);
-        let cold_wall = t.elapsed();
-        let cold = pool.cache().stats();
-        let t = std::time::Instant::now();
-        let second_pass = exec.run_batch(&pool, &queries);
-        let warm_wall = t.elapsed();
-        let warm = pool.cache().stats();
-
-        // Correctness: both passes identical, and every result identical to
-        // a naive single-threaded full scan.
-        let naive_reader = fork_archive::ArchiveReader::open(&dir).expect("reopen archive");
-        for ((q, a), b) in queries.iter().zip(&first_pass).zip(&second_pass) {
-            let a = a.as_ref().expect("query failed");
-            assert_eq!(
-                a,
-                b.as_ref().expect("query failed"),
-                "cold and warm passes diverged on {q:?}"
-            );
-            let naive = QueryExecutor::run_naive(&naive_reader, q).expect("naive scan");
-            assert_eq!(
-                a, &naive,
-                "8-thread executor diverged from naive scan on {q:?}"
-            );
-        }
-
-        let pct = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * hits as f64 / total as f64
-            }
-        };
-        let cold_rate = pct(cold.hits, cold.misses);
-        let warm_rate = pct(warm.hits - cold.hits, warm.misses - cold.misses);
-        let qps = |wall: std::time::Duration| queries.len() as f64 / wall.as_secs_f64().max(1e-9);
-        let lat = exec.latency_snapshot();
-        let lat_row = format!(
-            "{} samples, min {} us, mean {:.0} us, max {} us",
-            lat.count,
-            lat.min,
-            lat.mean(),
-            lat.max
-        );
-        let rows: Vec<Vec<String>> = vec![
-            vec![
-                "archive".into(),
-                format!(
-                    "{} ({} blocks, {} txs)",
-                    dir.display(),
-                    total_blocks,
-                    total_txs
-                ),
-            ],
-            vec![
-                "batch".into(),
-                format!("{} queries x 8 workers, 2 passes", queries.len()),
-            ],
-            vec![
-                "pass 1 (cold cache)".into(),
-                format!(
-                    "{:.1} ms ({:.0} queries/s)",
-                    cold_wall.as_secs_f64() * 1e3,
-                    qps(cold_wall)
-                ),
-            ],
-            vec![
-                "pass 2 (warm cache)".into(),
-                format!(
-                    "{:.1} ms ({:.0} queries/s)",
-                    warm_wall.as_secs_f64() * 1e3,
-                    qps(warm_wall)
-                ),
-            ],
-            vec![
-                "cache hit rate (first pass)".into(),
-                format!("{cold_rate:.2}%"),
-            ],
-            vec![
-                "cache hit rate (second pass)".into(),
-                format!("{warm_rate:.2}%"),
-            ],
-            vec![
-                "cache counters".into(),
-                format!(
-                    "{} hits, {} misses, {} evictions, {} entries resident (~{} KiB)",
-                    warm.hits,
-                    warm.misses,
-                    warm.evictions,
-                    warm.entries,
-                    warm.resident_bytes / 1024
-                ),
-            ],
-            vec!["query.latency".into(), lat_row],
-            vec![
-                "naive-scan check".into(),
-                format!(
-                    "{} / {} results byte-identical",
-                    queries.len(),
-                    queries.len()
-                ),
-            ],
-        ];
-        let md = fork_analytics::markdown_table(&["query engine", "value"], &rows);
-        println!("{md}");
-        std::fs::write(args.out.join("query.md"), &md).expect("write query report");
-        println!("  -> {}\n", args.out.join("query.md").display());
-        assert!(
-            warm_rate > 50.0,
-            "second pass should be mostly cache hits, got {warm_rate:.2}%"
-        );
-    }
-
     if wants("macro") {
         use fork_sim::macroscale::{macro_propagation, MacroNet};
         eprintln!("Running the macro-scale engine (propagation at 100/500/1,000 nodes)...");
@@ -1109,6 +872,7 @@ mod tests {
         for words in [
             &["bnech", "--out", "d"][..],
             &["bench", "--quick"][..],
+            &["query", "--quick"][..],
             &["fig1", "--bench-out", "x.json"][..],
             &["--verbose"][..],
         ] {

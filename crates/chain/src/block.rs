@@ -104,11 +104,6 @@ impl Block {
             ommers,
         })
     }
-
-    /// Byte size of the encoded block (analytics).
-    pub fn encoded_size(&self) -> usize {
-        self.rlp().len()
-    }
 }
 
 /// Helper used by tests and the miner: checks the header's body commitments

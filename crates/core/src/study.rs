@@ -6,9 +6,6 @@ use fork_analytics::{Pipeline, TimeSeries};
 use fork_archive::{ArchiveConfig, ArchiveError, ArchiveMeta, ArchiveReader, ArchiveWriter};
 use fork_market::PriceSeries;
 use fork_primitives::SimTime;
-use fork_query::{
-    CacheStats, Projection, Query, QueryError, QueryExecutor, QueryOutput, QueryRange, ReaderPool,
-};
 use fork_replay::Side;
 use fork_sim::scenario;
 use fork_sim::{MesoConfig, ProgressEvent, RunSummary, SimRng, TeeSink, TwoChainEngine};
@@ -219,42 +216,6 @@ impl fork_sim::LedgerSink for ReplaySummarySink {
     }
 }
 
-/// The paper aggregates of an archived run, re-derived by the fork-query
-/// engine instead of a full pipeline replay. See
-/// [`StudyResult::aggregates_from_archive`].
-#[derive(Debug, Clone)]
-pub struct ArchiveAggregates {
-    /// Inter-block arrival histograms for `[ETH, ETC]` — bit-identical to
-    /// the live run's `meso.interarrival.{eth,etc}` telemetry histograms.
-    pub interarrival: [fork_telemetry::HistogramSnapshot; 2],
-    /// Daily mean difficulty for `[ETH, ETC]` — bit-identical to the live
-    /// pipeline's `daily_difficulty`.
-    pub daily_difficulty: [TimeSeries; 2],
-    /// Pointwise ETH:ETC transactions-per-day ratio.
-    pub tx_ratio_per_day: TimeSeries,
-    /// Daily echo counts into `[ETH, ETC]` — bit-identical to the live
-    /// pipeline's `echoes_per_day`.
-    pub echoes_per_day: [TimeSeries; 2],
-    /// Frame-cache counters after the batch.
-    pub cache: CacheStats,
-    /// Per-query latency (`query.latency`, microseconds).
-    pub latency: fork_telemetry::HistogramSnapshot,
-}
-
-fn expect_histogram(out: QueryOutput) -> fork_telemetry::HistogramSnapshot {
-    match out {
-        QueryOutput::Histogram(h) => *h,
-        other => unreachable!("histogram projection returned {other:?}"),
-    }
-}
-
-fn expect_series(out: QueryOutput) -> TimeSeries {
-    match out {
-        QueryOutput::Series(s) => s,
-        other => unreachable!("series projection returned {other:?}"),
-    }
-}
-
 /// A completed run: the aggregated pipeline plus market context.
 pub struct StudyResult {
     /// The aggregation pipeline (all per-hour/per-day metrics).
@@ -319,45 +280,6 @@ impl StudyResult {
             start: SimTime::from_unix(meta.start_unix),
             end: SimTime::from_unix(meta.end_unix),
             telemetry: registry.snapshot(),
-        })
-    }
-
-    /// Re-derives the paper aggregates straight from an archive through the
-    /// fork-query engine — an 8-worker [`QueryExecutor`] over a shared
-    /// [`ReaderPool`] — without re-running the simulation *or* replaying
-    /// the full pipeline. The batch covers both sides' inter-arrival
-    /// histograms, daily difficulty, the ETH:ETC tx-per-day ratio, and
-    /// daily echo counts; each result is bit-identical to what the live
-    /// run produced (`assert`ed in this crate's tests).
-    ///
-    /// Unlike [`StudyResult::from_archive`] this works on manifest-less
-    /// archives too: the aggregates need only the record stream.
-    pub fn aggregates_from_archive(dir: impl AsRef<Path>) -> Result<ArchiveAggregates, QueryError> {
-        let pool = ReaderPool::open(dir.as_ref())?;
-        let exec = QueryExecutor::new(8);
-        let q = |side: Option<Side>, projection| Query {
-            side,
-            range: QueryRange::All,
-            projection,
-        };
-        let batch = [
-            q(Some(Side::Eth), Projection::InterArrival),
-            q(Some(Side::Etc), Projection::InterArrival),
-            q(Some(Side::Eth), Projection::Difficulty),
-            q(Some(Side::Etc), Projection::Difficulty),
-            q(None, Projection::TxRatioPerDay),
-            q(Some(Side::Eth), Projection::Echoes { window_days: 1 }),
-            q(Some(Side::Etc), Projection::Echoes { window_days: 1 }),
-        ];
-        let mut results = exec.run_batch(&pool, &batch).into_iter();
-        let mut next = || results.next().expect("one result per query");
-        Ok(ArchiveAggregates {
-            interarrival: [expect_histogram(next()?), expect_histogram(next()?)],
-            daily_difficulty: [expect_series(next()?), expect_series(next()?)],
-            tx_ratio_per_day: expect_series(next()?),
-            echoes_per_day: [expect_series(next()?), expect_series(next()?)],
-            cache: pool.cache().stats(),
-            latency: exec.latency_snapshot(),
         })
     }
 
@@ -531,6 +453,7 @@ impl StudyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fork_query::{Projection, Query, QueryExecutor, QueryOutput, QueryRange, ReaderPool};
 
     #[test]
     fn quick_study_produces_all_figures() {
@@ -601,39 +524,56 @@ mod tests {
                 },
             )
             .unwrap();
-        let agg = StudyResult::aggregates_from_archive(&dir).unwrap();
-        for (i, side) in [Side::Eth, Side::Etc].into_iter().enumerate() {
-            assert_eq!(
-                agg.daily_difficulty[i],
-                live.pipeline.daily_difficulty(side),
-                "{side:?} daily difficulty"
-            );
-            assert_eq!(
-                agg.echoes_per_day[i],
-                live.pipeline.echoes_per_day(side),
-                "{side:?} echoes/day"
-            );
-        }
-        assert_eq!(
-            agg.tx_ratio_per_day,
-            fork_analytics::ratio(
+        // One full-range batch through the fork-query engine re-derives the
+        // paper aggregates from the archive alone, bit-identical to the
+        // live run.
+        let q = |side, projection| Query {
+            side,
+            range: QueryRange::All,
+            projection,
+        };
+        let series = QueryOutput::Series;
+        let mut batch = vec![(
+            q(None, Projection::TxRatioPerDay),
+            series(fork_analytics::ratio(
                 &live.pipeline.txs_per_day(Side::Eth),
                 &live.pipeline.txs_per_day(Side::Etc),
                 "ETH:ETC",
-            )
-        );
-        for (i, name) in ["meso.interarrival.eth", "meso.interarrival.etc"]
-            .into_iter()
-            .enumerate()
-        {
+            )),
+        )];
+        for (side, name) in [
+            (Side::Eth, "meso.interarrival.eth"),
+            (Side::Etc, "meso.interarrival.etc"),
+        ] {
+            let live_histogram = live.telemetry.histograms.get(name).expect(name);
+            batch.extend([
+                (
+                    q(Some(side), Projection::InterArrival),
+                    QueryOutput::Histogram(Box::new(live_histogram.clone())),
+                ),
+                (
+                    q(Some(side), Projection::Difficulty),
+                    series(live.pipeline.daily_difficulty(side)),
+                ),
+                (
+                    q(Some(side), Projection::Echoes { window_days: 1 }),
+                    series(live.pipeline.echoes_per_day(side)),
+                ),
+            ]);
+        }
+        let (queries, wants): (Vec<Query>, Vec<QueryOutput>) = batch.into_iter().unzip();
+        let pool = ReaderPool::open(&dir).unwrap();
+        let results = QueryExecutor::new(8).run_batch(&pool, &queries);
+        for ((query, got), want) in queries.iter().zip(results).zip(wants) {
             assert_eq!(
-                Some(&agg.interarrival[i]),
-                live.telemetry.histograms.get(name),
-                "{name} must be re-derivable from the archive bit-identically"
+                got.unwrap(),
+                want,
+                "{query:?} must be re-derivable from the archive bit-identically"
             );
         }
+        let cache = pool.cache().stats();
         assert_eq!(
-            agg.cache.hits + agg.cache.misses,
+            cache.hits + cache.misses,
             0,
             "a full-range batch streams past the cache"
         );

@@ -290,13 +290,6 @@ impl Assembler {
         self
     }
 
-    /// Appends PUSH32 of a 256-bit constant.
-    pub fn push_u256(mut self, v: fork_primitives::U256) -> Self {
-        self.code.push(0x7F); // PUSH32
-        self.code.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Appends DUPn (1-indexed, n ≤ 16).
     pub fn dup(mut self, n: u8) -> Self {
         assert!((1..=16).contains(&n));

@@ -81,14 +81,6 @@ impl Topology {
         visited.len() == self.adjacency.len()
     }
 
-    /// Removes a node and its edges (node churn).
-    pub fn remove_node(&mut self, node: &NodeId) {
-        self.adjacency.remove(node);
-        for peers in self.adjacency.values_mut() {
-            peers.retain(|p| p != node);
-        }
-    }
-
     /// Adds a symmetric edge.
     pub fn connect(&mut self, a: NodeId, b: NodeId) {
         if a == b {
@@ -102,24 +94,6 @@ impl Topology {
         if !eb.contains(&a) {
             eb.push(a);
         }
-    }
-
-    /// Splits this topology by a predicate, dropping cross-partition edges —
-    /// used to model the handshake-level partition after the fork.
-    pub fn partition(&self, keep_side_a: impl Fn(&NodeId) -> bool) -> (Topology, Topology) {
-        let mut a = Topology::default();
-        let mut b = Topology::default();
-        for (node, peers) in &self.adjacency {
-            let side_a = keep_side_a(node);
-            let target = if side_a { &mut a } else { &mut b };
-            target.adjacency.entry(*node).or_default();
-            for p in peers {
-                if keep_side_a(p) == side_a {
-                    target.connect(*node, *p);
-                }
-            }
-        }
-        (a, b)
     }
 }
 
@@ -254,43 +228,5 @@ mod tests {
             &mut StdRng::seed_from_u64(7),
         );
         assert_eq!(a.adjacency, b.adjacency);
-    }
-
-    #[test]
-    fn partition_drops_cross_edges() {
-        let ids = ids(60);
-        let mut rng = StdRng::seed_from_u64(8);
-        let topo = build_topology(&ids, TopologyConfig::default(), &mut rng);
-        let side_a: HashSet<NodeId> = ids.iter().take(6).copied().collect();
-        let (a, b) = topo.partition(|n| side_a.contains(n));
-        assert_eq!(a.len(), 6);
-        assert_eq!(b.len(), 54);
-        // No node appears in both; no edge crosses.
-        for (node, peers) in &a.adjacency {
-            assert!(side_a.contains(node));
-            for p in peers {
-                assert!(side_a.contains(p));
-            }
-        }
-        for (node, peers) in &b.adjacency {
-            assert!(!side_a.contains(node));
-            for p in peers {
-                assert!(!side_a.contains(p));
-            }
-        }
-    }
-
-    #[test]
-    fn remove_node_cleans_edges() {
-        let mut topo = Topology::default();
-        let a = NodeId::from_seed("r", 0);
-        let b = NodeId::from_seed("r", 1);
-        let c = NodeId::from_seed("r", 2);
-        topo.connect(a, b);
-        topo.connect(b, c);
-        topo.remove_node(&b);
-        assert!(topo.peers(&a).is_empty());
-        assert!(topo.peers(&c).is_empty());
-        assert_eq!(topo.len(), 2);
     }
 }

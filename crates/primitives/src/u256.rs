@@ -69,15 +69,6 @@ impl U256 {
         }
     }
 
-    /// Converts to `u128` if the value fits, otherwise `None`.
-    pub fn to_u128(&self) -> Option<u128> {
-        if self.0[2] == 0 && self.0[3] == 0 {
-            Some(self.low_u128())
-        } else {
-            None
-        }
-    }
-
     /// Lossy conversion to `f64` (used by analytics where exactness is not
     /// required, e.g. plotting difficulty in units of 10^13).
     pub fn to_f64_lossy(&self) -> f64 {

@@ -32,10 +32,10 @@
 //! This holds by construction, not by tolerance: one evaluation function
 //! runs over an abstract record source, sources yield the same per-side
 //! record sequence in write order, the cache only short-circuits I/O
-//! (hits return the same decoded frames a read would), and aggregate folds
-//! reuse the live pipeline's own cells (`fork_analytics::aggregate`) and
-//! the telemetry histogram's own bucketing (`fork_telemetry::bucket_index`)
-//! in the same per-side order.
+//! (hits return the same decoded frames a read would), and aggregates
+//! stream into the live pipeline's own folds (`fork_analytics::aggregate`)
+//! and the telemetry histogram's own bucketing
+//! (`fork_telemetry::bucket_index`) in the same per-side order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -272,27 +272,70 @@ mod tests {
         let pool = ReaderPool::open(&dir).unwrap();
         let mut pipeline = Pipeline::new();
         pool.reader().replay_into(&mut pipeline).unwrap();
-        let exec = QueryExecutor::new(2);
+        // A bounded time window is the same fold over just the records
+        // inside it: a second pipeline fed only those, per side in order.
+        let (start, end) = (1_469_000_000 + 20 * 900, 1_469_000_000 + 80 * 900);
+        let time = QueryRange::Time { start, end };
+        let mut windowed = Pipeline::new();
         for side in [Side::Eth, Side::Etc] {
-            let q = Query {
-                side: Some(side),
-                range: QueryRange::All,
-                projection: Projection::Difficulty,
-            };
+            for item in pool.reader().records(side) {
+                match item.unwrap().1 {
+                    rec if !(start..=end).contains(&rec.timestamp()) => {}
+                    ArchiveRecord::Block(b) => windowed.ingest_block(&b),
+                    ArchiveRecord::Tx(t) => windowed.ingest_tx(&t),
+                }
+            }
+        }
+        let q = |side, range, projection| Query {
+            side,
+            range,
+            projection,
+        };
+        let tx_ratio = |p: &Pipeline| {
+            fork_analytics::ratio(
+                &p.txs_per_day(Side::Eth),
+                &p.txs_per_day(Side::Etc),
+                "ETH:ETC",
+            )
+        };
+        let mut cases = vec![
+            (
+                q(None, QueryRange::All, Projection::TxRatioPerDay),
+                tx_ratio(&pipeline),
+            ),
+            (
+                q(None, time, Projection::TxRatioPerDay),
+                tx_ratio(&windowed),
+            ),
+        ];
+        for side in [Side::Eth, Side::Etc] {
+            cases.extend([
+                (
+                    q(Some(side), QueryRange::All, Projection::Difficulty),
+                    pipeline.daily_difficulty(side),
+                ),
+                // 1-day echo windows are the pipeline's echoes_per_day.
+                (
+                    q(
+                        Some(side),
+                        QueryRange::All,
+                        Projection::Echoes { window_days: 1 },
+                    ),
+                    pipeline.echoes_per_day(side),
+                ),
+                (
+                    q(Some(side), time, Projection::Difficulty),
+                    windowed.daily_difficulty(side),
+                ),
+            ]);
+        }
+        let exec = QueryExecutor::new(2);
+        for (query, want) in cases {
+            assert!(!want.is_empty(), "{query:?}");
             assert_eq!(
-                exec.run(&pool, &q).unwrap(),
-                QueryOutput::Series(pipeline.daily_difficulty(side)),
-                "daily difficulty must be bit-identical to the live pipeline"
-            );
-            let q = Query {
-                side: Some(side),
-                range: QueryRange::All,
-                projection: Projection::Echoes { window_days: 1 },
-            };
-            assert_eq!(
-                exec.run(&pool, &q).unwrap(),
-                QueryOutput::Series(pipeline.echoes_per_day(side)),
-                "1-day echo windows must equal the pipeline's echoes_per_day"
+                exec.run(&pool, &query).unwrap(),
+                QueryOutput::Series(want),
+                "{query:?} must be bit-identical to the live pipeline"
             );
         }
     }

@@ -28,13 +28,13 @@
 
 use fork_analytics::BlockRecord;
 use fork_archive::format::{keccak_checksum, CHECKSUM_LEN, KIND_BLOCK, KIND_TX};
-use fork_archive::{ArchiveRecord, HashIndex, IndexEntry};
+use fork_archive::{merge_by_seq, ArchiveRecord, HashIndex, IndexEntry};
 use fork_primitives::H256;
 use fork_replay::Side;
 
 use crate::error::QueryError;
 use crate::pool::ReaderPool;
-use crate::query::{peek_seq, QueryRange, RecordSource};
+use crate::query::{QueryRange, RecordSource};
 
 /// A typed point lookup or explorer read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,40 +316,23 @@ fn scan_for_hash(
 /// per-side streams normally ascend, so events mark genuine tip
 /// displacement in hand-fed or adversarial archives).
 fn tip_history(source: &dyn RecordSource) -> Result<LookupOutput, QueryError> {
-    let mut eth = source.stream(Side::Eth, &QueryRange::All).peekable();
-    let mut etc = source.stream(Side::Etc, &QueryRange::All).peekable();
-    let mut sides = [
-        SideTip {
-            side: Side::Eth,
-            tip: None,
-            tip_seq: None,
-            blocks: 0,
-            reorgs: 0,
-        },
-        SideTip {
-            side: Side::Etc,
-            tip: None,
-            tip_seq: None,
-            blocks: 0,
-            reorgs: 0,
-        },
-    ];
+    let mut sides = [Side::Eth, Side::Etc].map(|side| SideTip {
+        side,
+        tip: None,
+        tip_seq: None,
+        blocks: 0,
+        reorgs: 0,
+    });
     let mut reorgs = Vec::new();
-    loop {
-        let take_eth = match (peek_seq(&mut eth)?, peek_seq(&mut etc)?) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(a), Some(b)) => a <= b,
-        };
-        let (stream, slot) = if take_eth {
-            (&mut eth, &mut sides[0])
-        } else {
-            (&mut etc, &mut sides[1])
-        };
-        let (seq, record) = stream.next().expect("peeked Some")?;
-        let ArchiveRecord::Block(b) = record else {
+    let eth = source.stream(Side::Eth, &QueryRange::All);
+    let etc = source.stream(Side::Etc, &QueryRange::All);
+    for item in merge_by_seq(eth, etc) {
+        let (seq, ArchiveRecord::Block(b)) = item? else {
             continue;
+        };
+        let slot = match b.network {
+            Side::Eth => &mut sides[0],
+            Side::Etc => &mut sides[1],
         };
         slot.blocks += 1;
         if let Some(tip) = &slot.tip {

@@ -11,18 +11,16 @@
 //! sequence in write order), pooled and naive results are identical by
 //! construction — the concurrency tests assert this byte-for-byte.
 //!
-//! Aggregates reuse the exact fold code the live pipeline uses
-//! (`fork_analytics::aggregate`) and the exact bucketing the telemetry
-//! histograms use (`fork_telemetry::bucket_index`), so a full-range query
-//! reproduces the live run's series and histograms bit-identically.
-
-use std::collections::BTreeMap;
+//! Aggregates stream into the very folds the live pipeline uses
+//! (`fork_analytics::aggregate`, one fold per aggregate) and the exact
+//! bucketing the telemetry histograms use (`fork_telemetry::bucket_index`),
+//! so a full-range query reproduces the live run's series and histograms
+//! bit-identically.
 
 use fork_analytics::{
-    count_series, mean_series, ratio, BlockRecord, MeanCell, TimeSeries, TxRecord,
+    echo_windows, ratio, BlockRecord, DailyDifficulty, DailyTxs, TimeSeries, TxRecord,
 };
-use fork_archive::{ArchiveError, ArchiveReader, ArchiveRecord};
-use fork_primitives::SimTime;
+use fork_archive::{merge_by_seq, ArchiveError, ArchiveReader, ArchiveRecord};
 use fork_replay::{EchoDetector, Side};
 use fork_telemetry::HistogramSnapshot;
 
@@ -206,150 +204,115 @@ fn day_in_range(range: &QueryRange, day: u64) -> bool {
     }
 }
 
+/// Streams the in-range blocks of `side` into `f`, in write order.
+fn for_each_block(
+    source: &dyn RecordSource,
+    side: Side,
+    range: &QueryRange,
+    mut f: impl FnMut(BlockRecord),
+) -> Result<(), QueryError> {
+    for item in source.stream(side, range) {
+        if let (_, ArchiveRecord::Block(b)) = item? {
+            if block_in_range(range, &b) {
+                f(b);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Streams the in-range transactions of `side` into `f`, in write order.
+fn for_each_tx(
+    source: &dyn RecordSource,
+    side: Side,
+    range: &QueryRange,
+    mut f: impl FnMut(TxRecord),
+) -> Result<(), QueryError> {
+    for item in source.stream(side, range) {
+        if let (_, ArchiveRecord::Tx(t)) = item? {
+            if ts_in_range(range, t.timestamp) {
+                f(t);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Evaluates `query` against `source`. This is the single evaluation path:
 /// the executor and the naive reference differ only in the `source` they
-/// pass in.
+/// pass in. Each aggregate streams its in-range records into the live
+/// pipeline's own fold (`fork_analytics::aggregate`) and finishes it.
 pub(crate) fn evaluate(
     source: &dyn RecordSource,
     query: &Query,
 ) -> Result<QueryOutput, QueryError> {
     query.validate()?;
+    let range = &query.range;
     match query.projection {
         Projection::Blocks => {
-            let side = query.side.expect("validated");
             let mut out = Vec::new();
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Block(b)) = item? {
-                    if block_in_range(&query.range, &b) {
-                        out.push(b);
-                    }
-                }
-            }
+            for_each_block(source, query.side.expect("validated"), range, |b| {
+                out.push(b)
+            })?;
             Ok(QueryOutput::Blocks(out))
         }
         Projection::Txs => {
-            let side = query.side.expect("validated");
             let mut out = Vec::new();
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Tx(t)) = item? {
-                    if ts_in_range(&query.range, t.timestamp) {
-                        out.push(t);
-                    }
-                }
-            }
+            for_each_tx(source, query.side.expect("validated"), range, |t| {
+                out.push(t)
+            })?;
             Ok(QueryOutput::Txs(out))
         }
         Projection::InterArrival => {
-            let side = query.side.expect("validated");
             // `HistogramSnapshot::record` mirrors the live histogram's
             // bucketing without its atomics.
             let mut h = HistogramSnapshot::default();
             let mut prev: Option<u64> = None;
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Block(b)) = item? {
-                    if !block_in_range(&query.range, &b) {
-                        continue;
-                    }
-                    if let Some(p) = prev {
-                        h.record(b.timestamp.saturating_sub(p));
-                    }
-                    prev = Some(b.timestamp);
+            for_each_block(source, query.side.expect("validated"), range, |b| {
+                if let Some(p) = prev {
+                    h.record(b.timestamp.saturating_sub(p));
                 }
-            }
+                prev = Some(b.timestamp);
+            })?;
             Ok(QueryOutput::Histogram(Box::new(h)))
         }
         Projection::Difficulty => {
             let side = query.side.expect("validated");
-            let mut cells: BTreeMap<u64, MeanCell> = BTreeMap::new();
-            for item in source.stream(side, &query.range) {
-                if let (_, ArchiveRecord::Block(b)) = item? {
-                    if block_in_range(&query.range, &b) {
-                        cells
-                            .entry(b.timestamp / 86_400)
-                            .or_default()
-                            .push(b.difficulty.to_f64_lossy());
-                    }
-                }
-            }
-            Ok(QueryOutput::Series(mean_series(
-                side.label(),
-                &cells,
-                86_400,
-            )))
+            let mut fold = DailyDifficulty::default();
+            for_each_block(source, side, range, |b| fold.push(&b))?;
+            Ok(QueryOutput::Series(fold.series(side.label())))
         }
         Projection::TxRatioPerDay => {
-            let mut daily = [BTreeMap::<u64, u64>::new(), BTreeMap::new()];
-            for (i, side) in [Side::Eth, Side::Etc].into_iter().enumerate() {
-                for item in source.stream(side, &query.range) {
-                    if let (_, ArchiveRecord::Tx(t)) = item? {
-                        if ts_in_range(&query.range, t.timestamp) {
-                            *daily[i].entry(t.timestamp / 86_400).or_default() += 1;
-                        }
-                    }
-                }
-            }
-            let eth = count_series(Side::Eth.label(), &daily[0], 86_400);
-            let etc = count_series(Side::Etc.label(), &daily[1], 86_400);
-            Ok(QueryOutput::Series(ratio(&eth, &etc, "ETH:ETC")))
+            let [mut eth, mut etc] = [DailyTxs::default(), DailyTxs::default()];
+            for_each_tx(source, Side::Eth, range, |t| eth.push(&t))?;
+            for_each_tx(source, Side::Etc, range, |t| etc.push(&t))?;
+            Ok(QueryOutput::Series(ratio(
+                &eth.series(Side::Eth.label()),
+                &etc.series(Side::Etc.label()),
+                "ETH:ETC",
+            )))
         }
         Projection::Echoes { window_days } => {
-            let side = query.side.expect("validated");
             // Echo-ness depends on which side saw a hash *first*, so the
-            // detector must see the whole cross-side stream in the original
-            // global order regardless of the query range; the range only
-            // restricts which days are emitted.
-            let detector = run_echo_detector(source)?;
-            let mut windows: BTreeMap<u64, u64> = BTreeMap::new();
-            for (day, stats) in detector.daily(side) {
-                if day_in_range(&query.range, day) {
-                    *windows.entry(day / window_days).or_default() += stats.echoes;
+            // detector sees both whole sides in the original global order
+            // whatever the query range; the range only restricts which days
+            // are emitted. Both streams are `All`, so echo queries of any
+            // range read past the frame cache.
+            let mut detector = EchoDetector::new();
+            let eth = source.stream(Side::Eth, &QueryRange::All);
+            let etc = source.stream(Side::Etc, &QueryRange::All);
+            for item in merge_by_seq(eth, etc) {
+                if let (_, ArchiveRecord::Tx(t)) = item? {
+                    detector.observe(t.network, t.hash, t.day());
                 }
             }
-            let mut s = TimeSeries::new(side.label());
-            for (w, echoes) in windows {
-                s.push(SimTime::from_unix(w * window_days * 86_400), echoes as f64);
-            }
-            Ok(QueryOutput::Series(s))
-        }
-    }
-}
-
-/// Replays every transaction on both sides through an [`EchoDetector`] in
-/// the original global ingestion order (merge by sequence number — the same
-/// merge `ArchiveReader::replay_into` performs). Both streams are `All`, so
-/// echo queries of any range read past the frame cache.
-fn run_echo_detector(source: &dyn RecordSource) -> Result<EchoDetector, QueryError> {
-    let mut eth = source.stream(Side::Eth, &QueryRange::All).peekable();
-    let mut etc = source.stream(Side::Etc, &QueryRange::All).peekable();
-    let mut detector = EchoDetector::new();
-    loop {
-        let take_eth = match (peek_seq(&mut eth)?, peek_seq(&mut etc)?) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(a), Some(b)) => a <= b,
-        };
-        let stream = if take_eth { &mut eth } else { &mut etc };
-        let (_, record) = stream.next().expect("peeked Some")?;
-        if let ArchiveRecord::Tx(t) = record {
-            detector.observe(t.network, t.hash, t.timestamp / 86_400);
-        }
-    }
-    Ok(detector)
-}
-
-pub(crate) type RecordIter<'a> =
-    Box<dyn Iterator<Item = Result<(u64, ArchiveRecord), ArchiveError>> + 'a>;
-
-pub(crate) fn peek_seq(
-    it: &mut std::iter::Peekable<RecordIter<'_>>,
-) -> Result<Option<u64>, QueryError> {
-    match it.peek() {
-        None => Ok(None),
-        Some(Ok((seq, _))) => Ok(Some(*seq)),
-        Some(Err(_)) => {
-            let err = it.next().expect("peeked Some").expect_err("peeked Err");
-            Err(err.into())
+            let side = query.side.expect("validated");
+            Ok(QueryOutput::Series(echo_windows(
+                &detector,
+                side,
+                window_days,
+                |day| day_in_range(range, day),
+            )))
         }
     }
 }

@@ -658,11 +658,6 @@ impl ServerHandle {
         &self.state.registry
     }
 
-    /// True once shutdown has been requested (locally or over the wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown and drains: stops accepting, finishes every
     /// admitted query, flushes responses, joins all threads.
     pub fn shutdown(self) {

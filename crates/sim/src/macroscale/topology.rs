@@ -258,19 +258,6 @@ impl MacroTopology {
         self.edge_rtt_ms.len()
     }
 
-    /// One-way base latency of the `(a, b)` edge (panics when no such
-    /// edge exists — callers iterate adjacency).
-    pub fn rtt_ms(&self, a: u32, b: u32) -> u64 {
-        self.edge_rtt_ms[&(a.min(b), a.max(b))]
-    }
-
-    /// Node indices of cluster `c`, ascending.
-    pub fn cluster_members(&self, c: u16) -> Vec<u32> {
-        (0..self.len() as u32)
-            .filter(|&i| self.cluster_of[i as usize] == c)
-            .collect()
-    }
-
     /// True when every node can reach every other node.
     pub fn is_connected(&self) -> bool {
         let n = self.len();
