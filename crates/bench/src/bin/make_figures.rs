@@ -27,9 +27,8 @@
 //! duration vs minority-branch lifetime vs heal reorg depth, per preset ×
 //! seed) including the lifetime-vs-duration scaling curve (a sweep of
 //! partition durations × seeds on the flash topology). The `macro` target
-//! runs the macro-scale engine serially: the propagation preset at
-//! 100/500/1,000 generated-topology nodes (pre/post-fork p50/p90/max into
-//! `macro.md`). `interarrival` exports the block inter-arrival histograms
+//! runs the macro-scale engine: the propagation preset at 100/500/1,000
+//! generated-topology nodes (pre/post-fork p50/p90/max into `macro.md`). `interarrival` exports the block inter-arrival histograms
 //! as CSV/JSON series. The `trace` target runs the fork-split micro
 //! network with the block-lifecycle tracer attached and writes
 //! `trace.json` (Chrome trace-event format, loadable in `chrome://tracing`

@@ -21,9 +21,9 @@
 //!   and the census and heal/reorg checks both engines share.
 //! * [`macroscale`] — the 1,000+ node macro-scale engine: seeded realistic
 //!   topology generation (power-law degrees, geo-latency clusters, client
-//!   diversity) and a sharded deterministic lock-step round engine with a
-//!   serial fallback, running the same chaos plans and convergence
-//!   invariants at production scale.
+//!   diversity) and a deterministic lock-step round engine that steps only
+//!   the nodes with work each round, running the same chaos plans and
+//!   convergence invariants at production scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,36 +1,42 @@
-//! The sharded macro-scale lock-step engine.
+//! The macro-scale lock-step engine.
 //!
 //! [`MacroNet`] runs 1,000+ lightweight nodes over a generated
 //! [`MacroTopology`]. Unlike the micro engine's single global event heap,
-//! time advances in fixed *rounds* of `round_ms`; each round has two
-//! phases:
+//! time advances in fixed *rounds* of `round_ms`. In-flight messages wait
+//! in one delivery bucket per future round, and a round costs what it
+//! delivers. On the calling thread, it has two phases:
 //!
-//! 1. **Parallel step** — every node drains its own inbox for the round,
-//!    mines, imports, and emits outbound messages. A node touches only its
-//!    own state plus shared *read-only* round context, and every delivery
-//!    is scheduled at least one round ahead, so nodes within a round are
-//!    independent and the phase shards freely across a scoped thread pool
-//!    (`n_shards == 1` is the serial fallback running the identical code).
-//! 2. **Serial merge** — outputs are folded in ascending node order:
-//!    messages land in destination inboxes, births and propagation samples
-//!    are recorded, counters accumulate.
+//! 1. **Step** — the round takes its bucket and stable-sorts it by
+//!    destination, so each destination sees its messages in the order the
+//!    merge pushed them (by send round, then ascending sender, then send
+//!    order). It then steps, in ascending id, only the nodes with work:
+//!    the bucket's destinations and the miners whose next find falls
+//!    inside the round. A stepped node consumes its messages, mines,
+//!    imports, and emits outbound messages into one `StepOut` shared by
+//!    the round, each send tagged with its sender. Any other node's step
+//!    would be a no-op: it has no messages, draws no randomness and mines
+//!    nothing.
+//! 2. **Merge** — the round's output is folded in the order it was
+//!    stepped: births and propagation samples are recorded, counters
+//!    accumulate, and every send is pushed into the bucket of its delivery
+//!    round, at least one round ahead.
 //!
 //! Determinism argument: all randomness flows through per-node
 //! [`SimRng`] streams forked as `macro-node-{i}` (a pure function of the
-//! seed), the merge order is fixed, and round skipping is computed from
-//! merged state only — so `parallel == serial` byte-identity holds *by
-//! construction*, and the determinism suite locks it down across shard
-//! counts.
+//! seed), a node's step reads only its own state, its messages and
+//! read-only round context, the step and merge orders are fixed, and round
+//! skipping is computed from merged state only. `tests/macro_determinism.rs`
+//! holds the reports and zeroed telemetry to a recorded fixture.
 //!
 //! Chaos integration: [`ChaosPlan`] cut changes update a `CutSet` of
-//! topology edges at round boundaries (in the serial phase), degradation
+//! topology edges at round boundaries, before the round steps; degradation
 //! windows apply their drop chance per send from the *sender's* stream, and
 //! the plan is validated against the generated topology's node count up
 //! front — a typed [`MacroError`], not a panic deep in the engine. Messages
 //! already in flight when an edge is cut still deliver (they left the wire
 //! before the cut), mirroring the micro engine's semantics.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use fork_telemetry::{Counter, MetricsRegistry, SpanStats};
@@ -54,8 +60,8 @@ pub struct MacroConfig {
     pub duration_secs: u64,
     /// Lock-step round quantum, milliseconds (must be > 0).
     pub round_ms: u64,
-    /// Shards for the parallel step phase; `1` is the serial fallback.
-    /// The shard count never changes results — only wall-clock time.
+    /// Accepted and no longer read: every round steps on the calling
+    /// thread. Kept only while the benchmark still sets it.
     pub n_shards: usize,
     /// Network-wide mean block interval, seconds (14 for mainnet).
     pub block_every_secs: f64,
@@ -120,7 +126,8 @@ pub enum MacroError {
     },
     /// `round_ms` was zero.
     ZeroRound,
-    /// `n_shards` was zero.
+    /// No longer returned: [`MacroConfig::n_shards`] is accepted and not
+    /// read. Kept only while the benchmark still sets the field.
     ZeroShards,
 }
 
@@ -213,7 +220,6 @@ struct NodeState {
     /// Canonical hash by height; index 0 is genesis.
     canonical: Vec<u64>,
     max_reorg: u64,
-    inbox: HashMap<u64, Vec<Envelope>>,
 }
 
 /// Read-only context shared by every node within one round.
@@ -223,16 +229,20 @@ struct RoundCtx<'a> {
     end_ms: u64,
     fork_at_ms: Option<u64>,
     adjacency: &'a [Vec<u32>],
-    edge_rtt: &'a HashMap<(u32, u32), u64>,
+    /// Base latency of each edge, aligned with `adjacency`.
+    adj_rtt: &'a [Vec<u64>],
     cut: &'a CutSet<(u32, u32)>,
     faults_drop: f64,
     jitter_ms: u64,
     block_gap_ms: f64,
 }
 
+/// One round's output, shared by every node the round steps and reused
+/// across rounds.
 #[derive(Default)]
 struct StepOut {
-    sends: Vec<(u32, u64, MacroMsg)>,
+    /// `(from, dest, deliver_round, msg)` in step order.
+    sends: Vec<(u32, u32, u64, MacroMsg)>,
     mined: Vec<MacroBlock>,
     imports: Vec<(u64, u8)>,
     delivered: u64,
@@ -244,7 +254,15 @@ struct StepOut {
     replies: u64,
 }
 
-fn send(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut, dest: u32, msg: MacroMsg) {
+/// Sends `msg` over the edge to `dest`, whose base latency is `base`.
+fn send(
+    node: &mut NodeState,
+    ctx: &RoundCtx,
+    out: &mut StepOut,
+    dest: u32,
+    base: u64,
+    msg: MacroMsg,
+) {
     let key = pair_key(node.id, dest);
     if ctx.cut.is_cut(&key) {
         out.drops_cut += 1;
@@ -256,17 +274,25 @@ fn send(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut, dest: u32, msg:
         out.drops_link += 1;
         return;
     }
-    let base = ctx.edge_rtt[&key];
     let jitter = if ctx.jitter_ms > 0 {
         node.rng.gen_range(0..=ctx.jitter_ms)
     } else {
         0
     };
     let delay = base + jitter;
-    // At least one round ahead: intra-round delivery would couple nodes
-    // within the parallel phase and break shard independence.
+    // At least one round ahead: intra-round delivery would make a node's
+    // step depend on nodes stepped before it in the same round.
     let deliver = ctx.round + (delay.div_ceil(ctx.round_ms)).max(1);
-    out.sends.push((dest, deliver, msg));
+    out.sends.push((node.id, dest, deliver, msg));
+}
+
+/// Sends `msg` back to `dest`, a neighbour that messaged this node.
+fn reply(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut, dest: u32, msg: MacroMsg) {
+    let id = node.id as usize;
+    let slot = ctx.adjacency[id]
+        .binary_search(&dest)
+        .expect("messages travel topology edges");
+    send(node, ctx, out, dest, ctx.adj_rtt[id][slot], msg);
 }
 
 fn gossip(
@@ -276,11 +302,12 @@ fn gossip(
     b: MacroBlock,
     from: Option<u32>,
 ) {
-    for &peer in &ctx.adjacency[node.id as usize] {
+    let id = node.id as usize;
+    for (&peer, &base) in ctx.adjacency[id].iter().zip(&ctx.adj_rtt[id]) {
         if Some(peer) == from {
             continue;
         }
-        send(node, ctx, out, peer, MacroMsg::Block(b));
+        send(node, ctx, out, peer, base, MacroMsg::Block(b));
     }
 }
 
@@ -338,7 +365,7 @@ fn handle_block(
         if let Some(peer) = from {
             if node.requested.insert(b.parent) {
                 out.requests += 1;
-                send(node, ctx, out, peer, MacroMsg::Request { hash: b.parent });
+                reply(node, ctx, out, peer, MacroMsg::Request { hash: b.parent });
             }
         }
         return;
@@ -362,34 +389,40 @@ fn handle_block(
     }
 }
 
-fn step_node(node: &mut NodeState, ctx: &RoundCtx, out: &mut StepOut) {
+/// Steps one node through the round: consumes `inbox` (its deliveries
+/// for the round, in merge order), then mines every find due before the
+/// round ends.
+fn step_node(
+    node: &mut NodeState,
+    inbox: impl Iterator<Item = Envelope>,
+    ctx: &RoundCtx,
+    out: &mut StepOut,
+) {
     let round_end = (ctx.round + 1) * ctx.round_ms;
-    if let Some(msgs) = node.inbox.remove(&ctx.round) {
-        for env in msgs {
-            out.delivered += 1;
-            match env.msg {
-                MacroMsg::Block(b) => handle_block(node, b, Some(env.from), ctx, out),
-                MacroMsg::Request { hash } => {
-                    let mut seg = Vec::new();
-                    let mut h = hash;
-                    while let Some(&blk) = node.blocks.get(&h) {
-                        seg.push(blk);
-                        if blk.number == 0 || seg.len() >= 32 {
-                            break;
-                        }
-                        h = blk.parent;
+    for env in inbox {
+        out.delivered += 1;
+        match env.msg {
+            MacroMsg::Block(b) => handle_block(node, b, Some(env.from), ctx, out),
+            MacroMsg::Request { hash } => {
+                let mut seg = Vec::new();
+                let mut h = hash;
+                while let Some(&blk) = node.blocks.get(&h) {
+                    seg.push(blk);
+                    if blk.number == 0 || seg.len() >= 32 {
+                        break;
                     }
-                    if !seg.is_empty() {
-                        out.replies += 1;
-                        seg.reverse();
-                        send(node, ctx, out, env.from, MacroMsg::Ancestors(seg));
-                    }
+                    h = blk.parent;
                 }
-                MacroMsg::Ancestors(list) => {
-                    for blk in list {
-                        node.requested.remove(&blk.hash);
-                        handle_block(node, blk, Some(env.from), ctx, out);
-                    }
+                if !seg.is_empty() {
+                    out.replies += 1;
+                    seg.reverse();
+                    reply(node, ctx, out, env.from, MacroMsg::Ancestors(seg));
+                }
+            }
+            MacroMsg::Ancestors(list) => {
+                for blk in list {
+                    node.requested.remove(&blk.hash);
+                    handle_block(node, blk, Some(env.from), ctx, out);
                 }
             }
         }
@@ -448,8 +481,8 @@ fn prop_stats(delays: &mut [u32]) -> PropagationStats {
     }
 }
 
-/// End-of-run report. Byte-identical across shard counts for one
-/// `(config, seed)` — the determinism suite compares its `Debug` form.
+/// End-of-run report. Byte-identical across runs of one `(config, seed)`;
+/// the determinism suite compares its `Debug` form to a recorded fixture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacroReport {
     /// Node count.
@@ -458,8 +491,8 @@ pub struct MacroReport {
     pub n_edges: u64,
     /// Miner count.
     pub n_miners: u64,
-    /// Rounds actually stepped (idle spans are skipped identically in
-    /// serial and sharded runs).
+    /// Rounds actually stepped (rounds with no delivery, find or chaos
+    /// boundary are skipped).
     pub rounds_executed: u64,
     /// Blocks mined before the fork (or all, when no fork is set).
     pub mined_prefork: u64,
@@ -543,17 +576,26 @@ struct MacroSpans {
     chaos: Arc<SpanStats>,
     rounds: Arc<Counter>,
     messages: Arc<Counter>,
+    /// Nodes stepped, summed over rounds (registry only: not in
+    /// [`MacroNet::telemetry_snapshot`]).
+    stepped: Arc<Counter>,
 }
 
 /// The macro-scale network.
 pub struct MacroNet {
     topology: MacroTopology,
+    /// Base latency of each edge, aligned with `topology.adjacency`.
+    adj_rtt: Vec<Vec<u64>>,
     nodes: Vec<NodeState>,
     miner_ids: Vec<u32>,
     plan: ChaosPlan,
     boundaries: VecDeque<(u64, CutChange)>,
     cuts: CutSet<(u32, u32)>,
-    pending_rounds: BTreeSet<u64>,
+    /// In-flight messages as `(dest, envelope)`, one bucket per delivery
+    /// round, each in merge order.
+    deliveries: BTreeMap<u64, Vec<(u32, Envelope)>>,
+    /// The round output buffer, reused across rounds.
+    out: StepOut,
     births: HashMap<u64, u64>,
     pre_delays: Vec<u32>,
     post_delays: Vec<u32>,
@@ -562,7 +604,6 @@ pub struct MacroNet {
     now_ms: u64,
     end_ms: u64,
     round_ms: u64,
-    n_shards: usize,
     fork_at_ms: Option<u64>,
     jitter_ms: u64,
     block_gap_ms: f64,
@@ -576,9 +617,6 @@ impl MacroNet {
     pub fn new(config: MacroConfig) -> Result<MacroNet, MacroError> {
         if config.round_ms == 0 {
             return Err(MacroError::ZeroRound);
-        }
-        if config.n_shards == 0 {
-            return Err(MacroError::ZeroShards);
         }
         let root = SimRng::new(config.seed);
         let topology = topology::generate(&config.topology, &root)?;
@@ -652,23 +690,35 @@ impl MacroNet {
                 seen: HashSet::from([genesis.hash]),
                 canonical: vec![genesis.hash],
                 max_reorg: 0,
-                inbox: HashMap::new(),
             });
         }
         let mut miner_ids: Vec<u32> = miner_set.into_iter().map(|i| i as u32).collect();
         miner_ids.sort_unstable();
+
+        let adj_rtt = topology
+            .adjacency
+            .iter()
+            .enumerate()
+            .map(|(a, peers)| {
+                let a = a as u32;
+                let rtt = |&b: &u32| topology.edge_rtt_ms[&pair_key(a, b)];
+                peers.iter().map(rtt).collect()
+            })
+            .collect();
 
         let mut boundaries = config.chaos.cut_schedule();
         boundaries.sort_by_key(|&(ms, _)| ms);
 
         Ok(MacroNet {
             topology,
+            adj_rtt,
             nodes,
             miner_ids,
             plan: config.chaos,
             boundaries: boundaries.into(),
             cuts: CutSet::default(),
-            pending_rounds: BTreeSet::new(),
+            deliveries: BTreeMap::new(),
+            out: StepOut::default(),
             births: HashMap::new(),
             pre_delays: Vec::new(),
             post_delays: Vec::new(),
@@ -677,7 +727,6 @@ impl MacroNet {
             now_ms: 0,
             end_ms: config.duration_secs * 1_000,
             round_ms: config.round_ms,
-            n_shards: config.n_shards,
             fork_at_ms: config.fork_at_secs.map(|s| s * 1_000),
             jitter_ms: config.jitter_ms,
             block_gap_ms,
@@ -702,11 +751,12 @@ impl MacroNet {
             .gauge("macro.topology.miners")
             .set(self.miner_ids.len() as i64);
         self.spans = Some(MacroSpans {
-            step: registry.span("macro.step.parallel"),
+            step: registry.span("macro.step.nodes"),
             merge: registry.span("macro.step.merge"),
             chaos: registry.span("macro.step.chaos"),
             rounds: registry.counter("macro.round.rounds"),
             messages: registry.counter("macro.round.messages"),
+            stepped: registry.counter("macro.round.stepped"),
         });
     }
 
@@ -751,13 +801,13 @@ impl MacroNet {
 
     /// The next absolute ms worth waking for: the earliest queued
     /// delivery, miner find, or chaos boundary. Computed from merged
-    /// state only, so serial and sharded runs skip identically.
+    /// state only.
     fn next_wake(&self) -> Option<u64> {
         let mut wake: Option<u64> = None;
         let mut cand = |ms: u64| {
             wake = Some(wake.map_or(ms, |w: u64| w.min(ms)));
         };
-        if let Some(&r) = self.pending_rounds.first() {
+        if let Some((&r, _)) = self.deliveries.first_key_value() {
             cand(r * self.round_ms);
         }
         for &m in &self.miner_ids {
@@ -772,9 +822,16 @@ impl MacroNet {
         wake.map(|w| w.max(self.now_ms))
     }
 
+    /// Steps the nodes with work in `round`, then merges their output.
     fn step_round(&mut self, round: u64) {
-        self.pending_rounds.remove(&round);
         self.counters.rounds += 1;
+        let mut bucket = match self.deliveries.first_entry() {
+            Some(entry) if *entry.key() == round => entry.remove(),
+            _ => Vec::new(),
+        };
+        // Stable: each destination keeps the order the merge pushed its
+        // messages in (by send round, then ascending sender, then send order).
+        bucket.sort_by_key(|&(dest, _)| dest);
 
         let faults_drop = self
             .plan
@@ -786,101 +843,84 @@ impl MacroNet {
             end_ms: self.end_ms,
             fork_at_ms: self.fork_at_ms,
             adjacency: &self.topology.adjacency,
-            edge_rtt: &self.topology.edge_rtt_ms,
+            adj_rtt: &self.adj_rtt,
             cut: &self.cuts,
             faults_drop,
             jitter_ms: self.jitter_ms,
             block_gap_ms: self.block_gap_ms,
         };
+        // The miners with a find due this round; every other node without
+        // a delivery would step as a no-op.
+        let find_by = ((round + 1) * self.round_ms).min(self.end_ms);
+        let due: Vec<u32> = self
+            .miner_ids
+            .iter()
+            .copied()
+            .filter(|&m| self.nodes[m as usize].next_block_ms < find_by)
+            .collect();
 
-        let n_shards = self.n_shards.min(self.nodes.len()).max(1);
         let step_timer = self.spans.as_ref().map(|s| s.step.enter());
-        let outs: Vec<StepOut> = if n_shards == 1 {
-            self.nodes
-                .iter_mut()
-                .map(|node| {
-                    let mut out = StepOut::default();
-                    step_node(node, &ctx, &mut out);
-                    out
-                })
-                .collect()
-        } else {
-            let chunk = self.nodes.len().div_ceil(n_shards);
-            let nodes = &mut self.nodes;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = nodes
-                    .chunks_mut(chunk)
-                    .map(|shard| {
-                        let ctx = &ctx;
-                        scope.spawn(move || {
-                            shard
-                                .iter_mut()
-                                .map(|node| {
-                                    let mut out = StepOut::default();
-                                    step_node(node, ctx, &mut out);
-                                    out
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard thread panicked"))
-                    .collect()
-            })
-        };
+        let mut out = std::mem::take(&mut self.out);
+        let mut msgs = bucket.into_iter().peekable();
+        let mut miners = due.into_iter().peekable();
+        let mut stepped = 0u64;
+        loop {
+            let id = match (msgs.peek().map(|&(dest, _)| dest), miners.peek().copied()) {
+                (None, None) => break,
+                (Some(dest), Some(miner)) => dest.min(miner),
+                (Some(id), None) | (None, Some(id)) => id,
+            };
+            miners.next_if_eq(&id);
+            let inbox =
+                std::iter::from_fn(|| msgs.next_if(|&(dest, _)| dest == id).map(|(_, env)| env));
+            step_node(&mut self.nodes[id as usize], inbox, &ctx, &mut out);
+            stepped += 1;
+        }
         drop(step_timer);
 
         let merge_timer = self.spans.as_ref().map(|s| s.merge.enter());
-        let mut round_messages = 0u64;
-        for (i, mut out) in outs.into_iter().enumerate() {
-            self.counters.delivered += out.delivered;
-            self.counters.duplicates += out.duplicates;
-            self.counters.rejected += out.rejected;
-            self.counters.drops_cut += out.drops_cut;
-            self.counters.drops_link += out.drops_link;
-            self.counters.requests += out.requests;
-            self.counters.replies += out.replies;
-            for b in &out.mined {
-                self.births.insert(b.hash, round);
-                match b.side {
-                    0 => self.counters.mined_prefork += 1,
-                    1 => self.counters.mined_majority += 1,
-                    _ => self.counters.mined_minority += 1,
-                }
-                if b.side != 0 {
-                    self.fork_floor = Some(self.fork_floor.map_or(b.number, |f| f.min(b.number)));
-                }
+        let c = &mut self.counters;
+        c.delivered += std::mem::take(&mut out.delivered);
+        c.duplicates += std::mem::take(&mut out.duplicates);
+        c.rejected += std::mem::take(&mut out.rejected);
+        c.drops_cut += std::mem::take(&mut out.drops_cut);
+        c.drops_link += std::mem::take(&mut out.drops_link);
+        c.requests += std::mem::take(&mut out.requests);
+        c.replies += std::mem::take(&mut out.replies);
+        for b in out.mined.drain(..) {
+            self.births.insert(b.hash, round);
+            match b.side {
+                0 => c.mined_prefork += 1,
+                1 => c.mined_majority += 1,
+                _ => c.mined_minority += 1,
             }
-            for &(hash, side) in &out.imports {
-                self.counters.imports += 1;
-                let birth = self.births[&hash];
-                let delay = ((round - birth) * self.round_ms) as u32;
-                if side == 0 {
-                    self.pre_delays.push(delay);
-                } else {
-                    self.post_delays.push(delay);
-                }
-            }
-            for (dest, deliver_round, msg) in out.sends.drain(..) {
-                self.counters.sent += 1;
-                round_messages += 1;
-                self.nodes[dest as usize]
-                    .inbox
-                    .entry(deliver_round)
-                    .or_default()
-                    .push(Envelope {
-                        from: i as u32,
-                        msg,
-                    });
-                self.pending_rounds.insert(deliver_round);
+            if b.side != 0 {
+                self.fork_floor = Some(self.fork_floor.map_or(b.number, |f| f.min(b.number)));
             }
         }
+        for (hash, side) in out.imports.drain(..) {
+            c.imports += 1;
+            let delay = ((round - self.births[&hash]) * self.round_ms) as u32;
+            if side == 0 {
+                self.pre_delays.push(delay);
+            } else {
+                self.post_delays.push(delay);
+            }
+        }
+        let round_messages = out.sends.len() as u64;
+        c.sent += round_messages;
+        for (from, dest, deliver_round, msg) in out.sends.drain(..) {
+            self.deliveries
+                .entry(deliver_round)
+                .or_default()
+                .push((dest, Envelope { from, msg }));
+        }
+        self.out = out;
         drop(merge_timer);
         if let Some(spans) = &self.spans {
             spans.rounds.incr();
             spans.messages.add(round_messages);
+            spans.stepped.add(stepped);
         }
     }
 
@@ -1182,6 +1222,33 @@ mod tests {
         assert!(report.rejected_cross_side > 0);
         assert_eq!(report.partition_groups.len(), 2);
         assert!(report.post_fork.samples > 0);
+    }
+
+    #[test]
+    fn idle_nodes_are_never_stepped() {
+        let registry = MetricsRegistry::new();
+        let mut net = MacroNet::new(small_config(11, 1)).unwrap();
+        net.attach_registry(&registry);
+        let report = net.run();
+        let stepped = registry.counter("macro.round.stepped").get();
+        let mined = report.mined_prefork + report.mined_majority + report.mined_minority;
+        // Every stepped node consumed a delivery or mined a block.
+        assert!(stepped > 0);
+        assert!(
+            stepped <= report.messages_delivered + mined,
+            "stepped {stepped}, delivered {}, mined {mined}",
+            report.messages_delivered
+        );
+        assert!(
+            stepped < report.rounds_executed * report.n_nodes,
+            "stepped {stepped} of {} rounds x {} nodes",
+            report.rounds_executed,
+            report.n_nodes
+        );
+        assert!(!net
+            .telemetry_snapshot()
+            .counters
+            .contains_key("macro.round.stepped"));
     }
 
     #[test]

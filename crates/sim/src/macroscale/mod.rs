@@ -9,13 +9,13 @@
 //!   power-law degree distributions (arXiv 2010.01373), geo-latency
 //!   clusters with intra/inter-cluster RTT bands (arXiv 2005.06356), and
 //!   client-diversity node labels (arXiv 2501.16236).
-//! * [`engine`] — the sharded deterministic lock-step engine
-//!   ([`MacroNet`]): per-node forked RNG streams, a scoped thread pool
-//!   with a serial fallback, fixed merge order, and first-class
+//! * [`engine`] — the deterministic lock-step engine ([`MacroNet`]):
+//!   per-node forked RNG streams, one delivery bucket per future round,
+//!   a one-thread round that steps only the nodes with a delivery or a
+//!   find due, fixed step and merge order, and first-class
 //!   [`crate::chaos::ChaosPlan`] partition/isolation/degradation support
-//!   shared with the micro engine. `parallel == serial` byte-identity
-//!   holds by construction and is locked down by
-//!   `tests/macro_determinism.rs`.
+//!   shared with the micro engine. `tests/macro_determinism.rs` holds its
+//!   reports to a recorded fixture.
 //! * [`presets`] — calibrated scenarios: the two-cluster partition/heal
 //!   acceptance run and the pre/post-fork propagation measurement.
 

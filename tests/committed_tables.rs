@@ -1,10 +1,13 @@
-//! Shape checks on the committed `figures/atlas.md` and `figures/macro.md`.
+//! Checks on the committed `figures/atlas.md` and `figures/macro.md`.
 //!
 //! CI regenerates both tables with `--seed 2016` and `cmp`s them against
 //! these files, so checking the committed copies checks what the generator
-//! writes.
+//! writes. Every cell of the macro table is also recomputed here from
+//! fresh `macro_propagation(2016, n)` runs.
 
 use std::path::Path;
+
+use stick_a_fork::sim::macroscale::{macro_propagation, MacroNet};
 
 fn committed(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -57,4 +60,35 @@ fn committed_atlas_and_macro_tables_are_populated() {
             .unwrap_or_else(|e| panic!("{phase} samples in {row:?}: {e}"));
         assert!(samples > 0, "empty {phase} samples: {row}");
     }
+}
+
+#[test]
+fn committed_macro_table_matches_fresh_runs() {
+    let macro_md = committed("macro.md");
+    let rows: Vec<Vec<&str>> = macro_md
+        .lines()
+        .filter(|l| l.starts_with("| ") && l.as_bytes()[2].is_ascii_digit())
+        .map(cells)
+        .collect();
+    let mut want: Vec<Vec<String>> = Vec::new();
+    for n in [100usize, 500, 1_000] {
+        let config = macro_propagation(2016, n).config;
+        let report = MacroNet::new(config).expect("preset is valid").run();
+        let post_blocks = report.mined_majority + report.mined_minority;
+        for (phase, blocks, stats) in [
+            ("pre-fork", report.mined_prefork, report.pre_fork),
+            ("post-fork", post_blocks, report.post_fork),
+        ] {
+            want.push(vec![
+                n.to_string(),
+                phase.to_string(),
+                blocks.to_string(),
+                stats.samples.to_string(),
+                stats.p50_ms.to_string(),
+                stats.p90_ms.to_string(),
+                stats.max_ms.to_string(),
+            ]);
+        }
+    }
+    assert_eq!(rows, want, "figures/macro.md differs from a fresh run");
 }

@@ -1,17 +1,23 @@
 //! Macro-scale determinism and invariants.
 //!
-//! The macro engine's load-bearing promise is that the shard count is a
-//! pure performance knob: serial, 2-shard, and 8-shard runs of the same
-//! `(config, seed)` must be byte-identical, report and telemetry both.
-//! These tests lock that down across seeds, run the 1,000-node acceptance
-//! scenario (two-cluster partition/heal) through the macro convergence
-//! invariants, and sanity-check the topology generator's statistical
-//! shape under a fixed seed.
+//! The macro engine steps each round on the calling thread, and only the
+//! nodes with a delivery or a find due. Its load-bearing promise is that
+//! the reports and zeroed telemetry of a `(config, seed)` never change:
+//! `tests/data/macro_reports.txt` records them for the shipped presets and
+//! midsize runs with a lossy window and an isolation, and
+//! `reports_match_the_pre_change_engine` holds the engine to it. The
+//! other tests check that `MacroConfig::n_shards`, which the engine no
+//! longer reads, stays invisible, run the 1,000-node acceptance scenario
+//! (two-cluster partition/heal) through the macro convergence invariants,
+//! and sanity-check the topology generator's statistical shape under a
+//! fixed seed.
 
+use stick_a_fork::net::FaultPlan;
 use stick_a_fork::sim::macroscale::{
-    macro_partition, MacroConfig, MacroError, MacroNet, TopologyGenConfig,
+    macro_partition, macro_propagation, MacroConfig, MacroError, MacroNet, TopologyGenConfig,
 };
-use stick_a_fork::sim::{check_heal_convergence, check_reorg_depth, ChaosPlan};
+use stick_a_fork::sim::{check_heal_convergence, check_reorg_depth, ChaosPlan, DegradationWindow};
+use stick_a_fork::telemetry::json::Value;
 use stick_a_fork::telemetry::TimingMode;
 
 fn with_shards(mut config: MacroConfig, n_shards: usize) -> MacroConfig {
@@ -19,9 +25,8 @@ fn with_shards(mut config: MacroConfig, n_shards: usize) -> MacroConfig {
     config
 }
 
-/// A mid-size propagation-style run: big enough that shards genuinely
-/// interleave (hundreds of nodes, thousands of messages), small enough to
-/// run three seeds × three shard counts quickly.
+/// A mid-size propagation-style run: hundreds of nodes and thousands of
+/// messages, small enough to run three seeds × three shard counts quickly.
 fn midsize(seed: u64) -> MacroConfig {
     MacroConfig {
         seed,
@@ -34,6 +39,86 @@ fn midsize(seed: u64) -> MacroConfig {
         fork_at_secs: Some(120),
         etc_share: 0.2,
         ..MacroConfig::default()
+    }
+}
+
+/// The runs `tests/data/macro_reports.txt` records, by name: the shipped
+/// propagation preset at 2,500 nodes, the 1,000-node partition/heal, the
+/// three midsize seeds, a midsize run under a lossy degradation window
+/// (the sender's drop draw) and one with an isolation and a rejoin.
+fn golden_runs() -> Vec<(String, MacroConfig)> {
+    let mut runs = Vec::new();
+    for seed in [2016u64, 7] {
+        let config = macro_propagation(seed, 2_500).config;
+        runs.push((format!("propagation-2500-s{seed}"), config));
+    }
+    for seed in [7u64, 8, 9] {
+        let config = macro_partition(seed, 1_000).config;
+        runs.push((format!("partition-1000-s{seed}"), config));
+    }
+    for seed in [101u64, 202, 303] {
+        runs.push((format!("midsize-s{seed}"), midsize(seed)));
+    }
+    let mut lossy = midsize(404);
+    lossy.chaos.degradations.push(DegradationWindow {
+        from_secs: 60,
+        until_secs: 180,
+        faults: FaultPlan::new(0.1, 0.0, 0.0).expect("valid fault plan"),
+    });
+    runs.push(("midsize-lossy-s404".into(), lossy));
+    let mut isolated = midsize(505);
+    isolated.chaos = ChaosPlan::NONE
+        .isolate_node(0, 40_000)
+        .rejoin(0, 100_000)
+        .isolate_node(17, 150_000);
+    runs.push(("midsize-isolated-s505".into(), isolated));
+    runs
+}
+
+/// One fixture line: the run's name, its report's `Debug` form and its
+/// zeroed telemetry snapshot as one-line JSON, tab-separated.
+fn golden_line(name: &str, config: MacroConfig) -> String {
+    let mut net = MacroNet::new(config).expect("golden config is valid");
+    let report = net.run();
+    let pretty = net.telemetry_snapshot().to_json(TimingMode::Zeroed);
+    let telemetry = Value::parse(&pretty)
+        .expect("snapshot JSON parses")
+        .to_json();
+    format!("{name}\t{report:?}\t{telemetry}")
+}
+
+/// Names the first field where two fixture lines differ: the column
+/// (report or telemetry) and its first differing comma-separated chunk.
+fn first_difference(want: &str, got: &str) -> String {
+    let columns = ["name", "report", "telemetry"];
+    for (column, (w, g)) in columns.iter().zip(want.split('\t').zip(got.split('\t'))) {
+        if w == g {
+            continue;
+        }
+        let sep = if *column == "telemetry" { "," } else { ", " };
+        for (w, g) in w.split(sep).zip(g.split(sep)) {
+            if w != g {
+                return format!("{column}: want `{w}`, got `{g}`");
+            }
+        }
+        return format!("{column}: one is a prefix of the other");
+    }
+    "column count differs".into()
+}
+
+#[test]
+fn reports_match_the_pre_change_engine() {
+    let fixture = include_str!("data/macro_reports.txt");
+    let want: Vec<&str> = fixture.lines().collect();
+    let runs = golden_runs();
+    assert_eq!(want.len(), runs.len(), "one fixture line per golden run");
+    for ((name, config), want) in runs.into_iter().zip(want) {
+        let got = golden_line(&name, config);
+        assert!(
+            got == want,
+            "{name} diverged from the recorded engine: {}",
+            first_difference(want, &got)
+        );
     }
 }
 
