@@ -14,11 +14,12 @@
 //! the segment's superblock version ([`Superblock::frame_checksum`]):
 //!
 //! - v3 segments (everything this build writes) use [`checksum`]: CRC32C
-//!   (Castagnoli), stored little-endian. It catches every single-bit flip
-//!   and every burst of up to 32 bits, at several times Keccak's speed.
+//!   (Castagnoli, [`fork_crypto::crc32c()`]), stored little-endian — the
+//!   same kernel that seals the hash-index sidecar and the net layer's
+//!   frames. It catches every single-bit flip and every burst of up to 32
+//!   bits, at several times Keccak's speed.
 //! - v1/v2 segments use [`keccak_checksum`]: the first [`CHECKSUM_LEN`]
-//!   bytes of the payload's Keccak-256 digest, the same truncated-keccak
-//!   scheme as the net layer's `seal_frame`.
+//!   bytes of the payload's Keccak-256 digest.
 //!
 //! The superblock's own checksum is [`keccak_checksum`] in every version:
 //! the version byte is only trusted once that check has passed.
@@ -51,7 +52,7 @@
 //! merging the two per-side streams by `seq` does exactly that.
 
 use fork_analytics::{BlockRecord, TxRecord};
-use fork_crypto::keccak256;
+use fork_crypto::{crc32c, keccak256};
 use fork_primitives::{Address, H256, U256};
 use fork_replay::Side;
 
@@ -212,73 +213,13 @@ pub fn checksum(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
 }
 
 /// Truncated-keccak checksum: the first [`CHECKSUM_LEN`] bytes of
-/// `bytes`' Keccak-256 digest. Seals superblocks, v1/v2 frames, the
-/// hash-index sidecar and served header chains.
+/// `bytes`' Keccak-256 digest. Seals superblocks and v1/v2 frames, and
+/// fingerprints the archive state and served header chains.
 pub fn keccak_checksum(bytes: &[u8]) -> [u8; CHECKSUM_LEN] {
     let digest = keccak256(bytes);
     let mut out = [0u8; CHECKSUM_LEN];
     out.copy_from_slice(&digest.0[..CHECKSUM_LEN]);
     out
-}
-
-/// CRC32C (Castagnoli) in its reflected form.
-const CRC32C_POLY: u32 = 0x82F6_3B78;
-
-/// Slice-by-8 tables: `t[0]` is the byte-at-a-time table, and `t[k][b]` is
-/// the CRC of byte `b` followed by `k` zero bytes.
-static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
-
-const fn crc32c_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                (c >> 1) ^ CRC32C_POLY
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// CRC32C of `data`, eight bytes per step.
-fn crc32c(data: &[u8]) -> u32 {
-    let t = &CRC32C_TABLES;
-    let mut crc = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
 }
 
 /// Segment filename for index `i` (`seg-00042.seg`).
@@ -812,41 +753,10 @@ mod tests {
         }
     }
 
-    /// Bit-at-a-time CRC32C, the reference the table-driven one must equal.
-    fn crc32c_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ CRC32C_POLY
-                } else {
-                    crc >> 1
-                };
-            }
-        }
-        !crc
-    }
-
     #[test]
-    fn crc32c_known_answer() {
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    fn checksum_is_little_endian_crc32c() {
         assert_eq!(checksum(b"123456789"), 0xE306_9283u32.to_le_bytes());
-        assert_eq!(crc32c(b""), 0);
-    }
-
-    #[test]
-    fn crc32c_slice_by_8_matches_bitwise() {
-        let data: Vec<u8> = (0..300u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
-        for len in 0..=data.len() {
-            assert_eq!(
-                crc32c(&data[..len]),
-                crc32c_bitwise(&data[..len]),
-                "length {len}"
-            );
-        }
+        assert_eq!(checksum(b""), [0; CHECKSUM_LEN]);
     }
 
     #[test]

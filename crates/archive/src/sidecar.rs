@@ -9,7 +9,7 @@
 //! magic "FARCHHX1" (8) · version u16 LE (2) · reserved u16 (2)
 //! · archive fingerprint (4) · entry count u64 LE (8)
 //! · count × 54-byte entries, sorted by (hash, seq)
-//! · truncated-keccak checksum over everything above (4)
+//! · CRC32C (LE) over everything above (4)
 //! ```
 //!
 //! Each entry is `hash (32) · kind u8 · side u8 · segment u32 LE ·
@@ -18,9 +18,14 @@
 //! append, a compaction, or a torn-tail truncation all invalidate the
 //! sidecar — a stale file is detected and rebuilt, never trusted.
 //!
-//! Both sidecar checksums are [`keccak_checksum`] whatever the segments'
-//! format version: frame checksums (CRC32C from v3) never enter the
-//! sidecar, so the same records give the same sidecar bytes in v2 and v3.
+//! The body checksum is [`checksum`] (CRC32C, the same kernel as v3
+//! frames) since sidecar version 2; version 1 sealed it with truncated
+//! Keccak. Magic and version are checked before the body checksum, so a
+//! version-1 file reads as `Corrupt("unsupported sidecar version 1")` and
+//! is rebuilt. The fingerprint stays [`keccak_checksum`]: it identifies an
+//! archive state, and clients see it. Neither depends on the segments'
+//! format version, so the same records give the same sidecar bytes over
+//! v2 and v3 segments.
 //!
 //! The sidecar is a pure accelerator: [`HashIndex::load_or_build`] never
 //! fails. A missing, torn, corrupt, or stale file is silently replaced by
@@ -35,7 +40,8 @@ use fork_primitives::H256;
 use fork_replay::Side;
 
 use crate::format::{
-    keccak_checksum, ArchiveRecord, Codec, CHECKSUM_LEN, CRC32C_VERSION, SUPERBLOCK_LEN, VERSION,
+    checksum, keccak_checksum, ArchiveRecord, Codec, CHECKSUM_LEN, CRC32C_VERSION, SUPERBLOCK_LEN,
+    VERSION,
 };
 use crate::reader::ArchiveReader;
 use crate::segment::SegmentCursor;
@@ -46,8 +52,9 @@ pub const SIDECAR_FILE: &str = "hash-index.sidecar";
 /// Magic bytes opening the sidecar file.
 pub const SIDECAR_MAGIC: &[u8; 8] = b"FARCHHX1";
 
-/// Sidecar format version.
-pub const SIDECAR_VERSION: u16 = 1;
+/// Sidecar format version: 2 seals the body with CRC32C ([`checksum`]);
+/// version 1 (truncated Keccak) is no longer read, only rebuilt.
+pub const SIDECAR_VERSION: u16 = 2;
 
 /// Fixed header length: magic + version + reserved + fingerprint + count.
 const HEADER_LEN: usize = 8 + 2 + 2 + CHECKSUM_LEN + 8;
@@ -208,7 +215,8 @@ impl HashIndex {
                 }
             }
         }
-        entries.sort_by_key(|e| (e.hash.0, e.seq));
+        // `seq` is unique, so an unstable sort gives the one order there is.
+        entries.sort_unstable_by(entry_order);
         HashIndex {
             entries,
             fingerprint: archive_fingerprint(reader),
@@ -288,10 +296,16 @@ impl HashIndex {
             out.extend_from_slice(&e.offset.to_le_bytes());
             out.extend_from_slice(&e.seq.to_le_bytes());
         }
-        let sum = keccak_checksum(&out);
+        let sum = checksum(&out);
         out.extend_from_slice(&sum);
         out
     }
+}
+
+/// The index order: by hash, then by `seq`. Compares the hashes in place
+/// rather than through a copied `(hash, seq)` key.
+fn entry_order(a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
+    a.hash.0.cmp(&b.hash.0).then(a.seq.cmp(&b.seq))
 }
 
 /// Validates the on-disk sidecar against the opened archive, for
@@ -320,18 +334,20 @@ fn try_load(dir: &Path, expect_fingerprint: [u8; CHECKSUM_LEN]) -> Result<HashIn
             bytes.len()
         )));
     }
-    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    if keccak_checksum(body) != tail {
-        return Err(SidecarFault::Corrupt("file checksum mismatch".into()));
-    }
-    if &body[0..8] != SIDECAR_MAGIC {
+    // Magic and version first: an older version's body checksum is a
+    // different function, so checking it would misreport the file.
+    if &bytes[0..8] != SIDECAR_MAGIC {
         return Err(SidecarFault::Corrupt("bad magic".into()));
     }
-    let version = u16::from_le_bytes(body[8..10].try_into().unwrap());
+    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
     if version != SIDECAR_VERSION {
         return Err(SidecarFault::Corrupt(format!(
             "unsupported sidecar version {version}"
         )));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+    if checksum(body) != tail {
+        return Err(SidecarFault::Corrupt("file checksum mismatch".into()));
     }
     let mut fingerprint = [0u8; CHECKSUM_LEN];
     fingerprint.copy_from_slice(&body[12..12 + CHECKSUM_LEN]);
@@ -365,7 +381,7 @@ fn try_load(dir: &Path, expect_fingerprint: [u8; CHECKSUM_LEN]) -> Result<HashIn
             seq: u64::from_le_bytes(chunk[46..54].try_into().unwrap()),
         });
     }
-    if !entries.is_sorted_by_key(|e| (e.hash.0, e.seq)) {
+    if !entries.is_sorted_by(|a, b| entry_order(a, b).is_le()) {
         return Err(SidecarFault::Corrupt("entries out of order".into()));
     }
     // Freshness last: a structurally sound sidecar for a changed archive is
@@ -404,7 +420,7 @@ mod tests {
             entry(3, KIND_TX, 2),
             entry(200, KIND_BLOCK, 1),
         ];
-        entries.sort_by_key(|e| (e.hash.0, e.seq));
+        entries.sort_unstable_by(entry_order);
         HashIndex {
             entries,
             fingerprint: [0xAA, 0xBB, 0xCC, 0xDD],

@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fork_analytics::{BlockRecord, TxRecord};
+use fork_archive::format::keccak_checksum;
 use fork_archive::{
     ArchiveConfig, ArchiveReader, ArchiveWriter, Codec, HashIndex, SidecarCheck, SidecarFault,
     SidecarLoad, SIDECAR_FILE,
@@ -245,4 +246,90 @@ fn compaction_makes_sidecar_stale_and_rebuild_drops_pruned_frames() {
     let reopened = ArchiveReader::open(&dir).unwrap();
     let (_, second) = HashIndex::load_or_build(&reopened);
     assert_eq!(second, SidecarLoad::Loaded);
+}
+
+/// A sidecar written by format v1 (truncated-Keccak body checksum) is
+/// reported as an unsupported version, not a checksum mismatch, and is
+/// rebuilt into a current one.
+#[test]
+fn v1_sidecar_reads_as_unsupported_version_and_is_rebuilt() {
+    let dir = scratch("v1");
+    write_archive(&dir, small_segments(), &[(0, 1, 2), (1, 1, 1), (0, 2, 3)]);
+    let original = persist_sidecar(&dir);
+
+    // Re-seal the current file the way v1 did: version 1, Keccak trailer.
+    let path = dir.join(SIDECAR_FILE);
+    let v2 = std::fs::read(&path).unwrap();
+    let mut v1 = v2[..v2.len() - 4].to_vec();
+    v1[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let sum = keccak_checksum(&v1);
+    v1.extend_from_slice(&sum);
+    std::fs::write(&path, &v1).unwrap();
+
+    let unsupported = "unsupported sidecar version 1".to_string();
+    let reader = ArchiveReader::open(&dir).unwrap();
+    assert_eq!(
+        reader.verify().sidecar,
+        SidecarCheck::Corrupt {
+            detail: unsupported.clone()
+        }
+    );
+    let (rebuilt, load) = HashIndex::load_or_build(&reader);
+    assert_eq!(
+        load,
+        SidecarLoad::Rebuilt(SidecarFault::Corrupt(unsupported))
+    );
+    assert_eq!(rebuilt, original);
+    assert!(
+        std::fs::read(&path).unwrap() == v2,
+        "rebuild rewrote v2 bytes"
+    );
+    assert_eq!(
+        reader.verify().sidecar,
+        SidecarCheck::Valid {
+            entries: original.len() as u64
+        }
+    );
+}
+
+/// Echoed transactions — the same hash on both sides — give several
+/// entries per hash. The index must order them by `(hash, seq)` whatever
+/// the side scan order: here each tx reaches ETC first (lower seq) while
+/// the build scans ETH first.
+#[test]
+fn echoed_hashes_are_indexed_in_hash_then_seq_order() {
+    let dir = scratch("echo");
+    let mut writer = ArchiveWriter::create_with(&dir, small_segments()).unwrap();
+    for number in 1..=30u64 {
+        for side in [Side::Etc, Side::Eth] {
+            let b = block(side, number);
+            let ts = b.timestamp;
+            writer.block(b);
+            for n in 0..3 {
+                writer.tx(tx(side, number * 3 + n, ts));
+            }
+        }
+    }
+    writer.finish(None).unwrap();
+
+    let reader = ArchiveReader::open(&dir).unwrap();
+    let index = HashIndex::build(&reader);
+    let entries = index.entries();
+    assert_eq!(entries.len(), 30 * 2 * 4);
+    assert!(
+        entries
+            .windows(2)
+            .all(|w| (w[0].hash.0, w[0].seq) < (w[1].hash.0, w[1].seq)),
+        "entries not strictly ascending by (hash, seq)"
+    );
+    for number in 1..=30u64 {
+        let hash = tx(Side::Eth, number * 3, 0).hash;
+        let hits = index.candidates(&hash);
+        assert!(hits.len() >= 2, "tx {number}: {} entries", hits.len());
+        assert!(
+            hits.windows(2).all(|w| w[0].seq < w[1].seq),
+            "tx {number}: candidates not ascending in seq"
+        );
+        assert_eq!(hits[0].side, Side::Etc, "tx {number}: ETC saw it first");
+    }
 }

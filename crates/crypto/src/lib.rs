@@ -1,17 +1,20 @@
 //! # fork-crypto
 //!
 //! Cryptographic substrate for the fork study: a from-scratch Keccak-256
-//! (test-vectored against the published constants) and a deterministic,
+//! (test-vectored against the published constants), a deterministic,
 //! recoverable signature scheme that preserves the two properties the study
-//! depends on — sender recovery and EIP-155 signing-domain separation. See
-//! the substitution note in [`signature`] and DESIGN.md.
+//! depends on — sender recovery and EIP-155 signing-domain separation — and
+//! the workspace's one integrity checksum, [`crc32c()`]. See the substitution
+//! note in [`signature`] and DESIGN.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod crc32c;
 pub mod keccak;
 pub mod signature;
 
+pub use crc32c::crc32c;
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
 pub use signature::{Keypair, Signature};
 

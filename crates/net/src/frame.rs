@@ -1,4 +1,4 @@
-//! Frame integrity: a keccak-based checksum wrapper.
+//! Frame integrity: a CRC32C checksum wrapper.
 //!
 //! Real devp2p runs over RLPx, whose per-frame MAC makes corrupted frames
 //! die at the transport instead of reaching the protocol decoder. Without
@@ -7,20 +7,24 @@
 //! the seal check and self-replicate through gossip (a branching process
 //! that melts the event queue; found the hard way, kept as a regression
 //! test). [`seal_frame`]/[`open_frame`] reproduce the MAC's effect.
+//!
+//! The seal is CRC32C ([`fork_crypto::crc32c()`]), not a keyed MAC: the
+//! simulation models accidental and injected damage, not a forger. CRC32C
+//! detects every burst of up to 32 bits, so every single-byte flip the
+//! `CorruptFrames` byzantine injects is caught with certainty, at several
+//! times the speed of a truncated Keccak. The same kernel seals the
+//! archive's frames and the `fork-serve` wire frames.
 
-use fork_crypto::keccak256;
+use fork_crypto::crc32c;
 
-/// Checksum length in bytes (truncated keccak — integrity, not crypto).
+/// Checksum length in bytes (CRC32C — integrity, not crypto).
 pub const CHECKSUM_LEN: usize = 4;
 
 /// The checksum [`seal_frame`] prepends and [`open_frame`] verifies: the
-/// first [`CHECKSUM_LEN`] bytes of the payload's keccak. Public so a caller
-/// that lays a frame out in its own buffer seals it with the same bytes.
+/// payload's CRC32C, little-endian. Public so a caller that lays a frame
+/// out in its own buffer seals it with the same bytes.
 pub fn frame_checksum(payload: &[u8]) -> [u8; CHECKSUM_LEN] {
-    let digest = keccak256(payload);
-    let mut checksum = [0u8; CHECKSUM_LEN];
-    checksum.copy_from_slice(&digest.0[..CHECKSUM_LEN]);
-    checksum
+    crc32c(payload).to_le_bytes()
 }
 
 /// Wraps a payload with its checksum.
@@ -85,6 +89,11 @@ mod tests {
             let frame = seal_frame(payload);
             assert_eq!(frame[..CHECKSUM_LEN], frame_checksum(payload));
         }
+    }
+
+    #[test]
+    fn checksum_is_little_endian_crc32c() {
+        assert_eq!(frame_checksum(b"123456789"), 0xE306_9283u32.to_le_bytes());
     }
 
     #[test]

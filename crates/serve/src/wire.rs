@@ -4,8 +4,8 @@
 //! Every message on the socket is one frame:
 //!
 //! ```text
-//! [u32 LE sealed length][4-byte truncated-keccak checksum][payload ...]
-//!                        `---------- seal_frame ---------------------'
+//! [u32 LE sealed length][4-byte CRC32C checksum][payload ...]
+//!                        `-------- seal_frame --------------'
 //! ```
 //!
 //! The checksum is [`fork_net::frame_checksum`], verified by

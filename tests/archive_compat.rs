@@ -15,9 +15,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use stick_a_fork::analytics::{BlockRecord, TxRecord};
+use stick_a_fork::archive::format::keccak_checksum;
 use stick_a_fork::archive::{
     archive_format_version, ArchiveConfig, ArchiveReader, ArchiveRecord, ArchiveWriter, HashIndex,
-    SidecarLoad, SIDECAR_FILE,
+    SidecarCheck, SidecarFault, SidecarLoad, SIDECAR_FILE,
 };
 use stick_a_fork::core::ForkStudy;
 use stick_a_fork::primitives::{Address, H256, U256};
@@ -280,6 +281,53 @@ fn rewriting_the_fixture_as_v3_changes_only_versions_and_checksums() {
             "{file} differs"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed sidecar as sidecar format v1 wrote it: the same header
+/// and entries, version 1, and a truncated-Keccak body checksum. This is
+/// byte for byte the file committed before the v2 bump.
+fn v1_sidecar(v2: &[u8]) -> Vec<u8> {
+    let mut body = v2[..v2.len() - 4].to_vec();
+    body[8..10].copy_from_slice(&1u16.to_le_bytes());
+    let sum = keccak_checksum(&body);
+    body.extend_from_slice(&sum);
+    body
+}
+
+/// A pre-v2 sidecar next to the committed archive is reported as an
+/// unsupported version — not as a checksum mismatch — and rebuilt into
+/// exactly the committed v2 file.
+#[test]
+fn a_v1_sidecar_reads_as_unsupported_and_rebuilds_to_the_committed_one() {
+    let committed = std::fs::read(fixture().join(SIDECAR_FILE)).unwrap();
+    assert_eq!(u16::from_le_bytes([committed[8], committed[9]]), 2);
+    let dir = copy_archive(&fixture(), "sidecar-v1");
+    std::fs::write(dir.join(SIDECAR_FILE), v1_sidecar(&committed)).unwrap();
+
+    let unsupported = "unsupported sidecar version 1".to_string();
+    let reader = ArchiveReader::open(&dir).unwrap();
+    let report = reader.verify();
+    assert_eq!(
+        report.sidecar,
+        SidecarCheck::Corrupt {
+            detail: unsupported.clone()
+        }
+    );
+    assert_eq!(report.totals(), (FIXTURE_FRAMES, 0, 0), "frames unaffected");
+    let (index, load) = HashIndex::load_or_build(&reader);
+    assert_eq!(
+        load,
+        SidecarLoad::Rebuilt(SidecarFault::Corrupt(unsupported))
+    );
+    assert_eq!(index.len() as u64, FIXTURE_FRAMES);
+    assert!(
+        std::fs::read(dir.join(SIDECAR_FILE)).unwrap() == committed,
+        "rebuilt sidecar differs from the committed one"
+    );
+    let reopened = ArchiveReader::open(&dir).unwrap();
+    assert!(reopened.verify().is_clean());
+    assert_eq!(HashIndex::load_or_build(&reopened).1, SidecarLoad::Loaded);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
