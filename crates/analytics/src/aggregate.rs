@@ -1,18 +1,20 @@
 //! The paper aggregates, each as one fold.
 //!
 //! The live [`crate::Pipeline`] and fork-query's archive-backed projections
-//! both compute daily difficulty, transactions per day and echo windows.
-//! Each of those has exactly one fold here — the cell, the per-day
-//! bucketing and the series it finishes into — and both consumers push
-//! records into it. Floating-point addition is not associative, so "the
-//! same numbers in the same order" is the *only* way two consumers produce
-//! bit-identical series; one fold fed in per-side ingestion order makes
-//! that equality hold by construction instead of by tolerance.
+//! both compute daily difficulty, transactions per day, block inter-arrival
+//! histograms and echo windows. Each of those has exactly one fold here —
+//! the cell, the per-day bucketing and the series it finishes into — and
+//! both consumers push records into it. Floating-point addition is not
+//! associative, so "the same numbers in the same order" is the *only* way
+//! two consumers produce bit-identical series; one fold fed in per-side
+//! ingestion order makes that equality hold by construction instead of by
+//! tolerance.
 
 use std::collections::BTreeMap;
 
 use fork_primitives::SimTime;
 use fork_replay::{EchoDetector, Side};
+use fork_telemetry::HistogramSnapshot;
 
 use crate::record::{BlockRecord, TxRecord};
 use crate::series::TimeSeries;
@@ -120,6 +122,32 @@ impl DailyTxs {
     }
 }
 
+/// Block inter-arrival times of one side: the seconds between consecutive
+/// blocks' timestamps, log2-bucketed exactly as the engine's
+/// `meso.interarrival.*` histograms. The `InterArrival` projection.
+#[derive(Debug, Clone, Default)]
+pub struct InterArrival {
+    histogram: HistogramSnapshot,
+    prev: Option<u64>,
+}
+
+impl InterArrival {
+    /// Folds one block in; returns its gap to the previous block, if any.
+    pub fn push(&mut self, b: &BlockRecord) -> Option<u64> {
+        let gap = self.prev.map(|p| b.timestamp.saturating_sub(p));
+        if let Some(gap) = gap {
+            self.histogram.record(gap);
+        }
+        self.prev = Some(b.timestamp);
+        gap
+    }
+
+    /// The histogram so far.
+    pub fn histogram(&self) -> &HistogramSnapshot {
+        &self.histogram
+    }
+}
+
 /// Echoes into `side`, summed over consecutive `window_days`-day windows of
 /// the days `keep_day` admits. The detector must have seen both sides'
 /// transactions in global ingestion order. One-day windows over every day
@@ -168,6 +196,33 @@ mod tests {
         counts.insert(3u64, 7u64);
         let c = count_series("c", &counts, 3_600);
         assert_eq!(c.points, vec![(3 * 3_600, 7.0)]);
+    }
+
+    #[test]
+    fn interarrival_records_gaps_between_consecutive_blocks() {
+        use fork_primitives::{Address, H256, U256};
+        let block = |timestamp| BlockRecord {
+            network: Side::Eth,
+            number: 0,
+            hash: H256::default(),
+            timestamp,
+            difficulty: U256::ONE,
+            beneficiary: Address::ZERO,
+            gas_used: 0,
+            tx_count: 0,
+            ommer_count: 0,
+        };
+        let mut fold = InterArrival::default();
+        let gaps: Vec<_> = [100, 114, 114, 1_314]
+            .into_iter()
+            .map(|ts| fold.push(&block(ts)))
+            .collect();
+        assert_eq!(gaps, vec![None, Some(14), Some(0), Some(1_200)]);
+        let mut want = HistogramSnapshot::default();
+        for gap in [14, 0, 1_200] {
+            want.record(gap);
+        }
+        assert_eq!(fold.histogram(), &want);
     }
 
     #[test]

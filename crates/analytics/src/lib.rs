@@ -17,7 +17,9 @@ pub mod record;
 pub mod render;
 pub mod series;
 
-pub use aggregate::{count_series, echo_windows, mean_series, DailyDifficulty, DailyTxs, MeanCell};
+pub use aggregate::{
+    count_series, echo_windows, mean_series, DailyDifficulty, DailyTxs, InterArrival, MeanCell,
+};
 pub use export::{histogram_series, to_csv, to_json, write_csv, write_json};
 pub use pipeline::Pipeline;
 pub use record::{BlockRecord, TxRecord};

@@ -9,11 +9,11 @@
 use std::collections::BTreeMap;
 
 use fork_pools::DailyWinners;
-use fork_primitives::SimTime;
+use fork_primitives::{SimTime, U256};
 use fork_replay::{EchoDetector, Side};
 
 use crate::aggregate::{
-    count_series, echo_windows, mean_series, DailyDifficulty, DailyTxs, MeanCell,
+    count_series, echo_windows, mean_series, DailyDifficulty, DailyTxs, InterArrival, MeanCell,
 };
 use crate::record::{BlockRecord, TxRecord};
 use crate::series::TimeSeries;
@@ -28,7 +28,8 @@ struct NetworkAggregates {
     daily_txs: DailyTxs,
     daily_contract_txs: BTreeMap<u64, u64>,
     daily_winners: BTreeMap<u64, DailyWinners>,
-    last_timestamp: Option<u64>,
+    interarrival: InterArrival,
+    last_difficulty: U256,
     total_blocks: u64,
     total_txs: u64,
     total_ommers: u64,
@@ -42,15 +43,15 @@ impl NetworkAggregates {
         let d = b.difficulty.to_f64_lossy();
         self.hourly_difficulty.entry(hour).or_default().push(d);
         self.daily_difficulty.push(b);
-        if let Some(prev) = self.last_timestamp {
-            let delta = b.timestamp.saturating_sub(prev) as f64;
+        if let Some(gap) = self.interarrival.push(b) {
+            let delta = gap as f64;
             self.hourly_delta.entry(hour).or_default().push(delta);
         }
-        self.last_timestamp = Some(b.timestamp);
         self.daily_winners
             .entry(day)
             .or_default()
             .record(b.beneficiary);
+        self.last_difficulty = b.difficulty;
         self.total_blocks += 1;
         self.total_ommers += b.ommer_count as u64;
     }
@@ -141,6 +142,11 @@ impl Pipeline {
         mean_series(side.label(), &self.side(side).hourly_delta, 3_600)
     }
 
+    /// Block inter-arrival histogram (log2 buckets of seconds).
+    pub fn interarrival(&self, side: Side) -> &fork_telemetry::HistogramSnapshot {
+        self.side(side).interarrival.histogram()
+    }
+
     /// Mean difficulty per day — Figure 2 top panel.
     pub fn daily_difficulty(&self, side: Side) -> TimeSeries {
         self.side(side).daily_difficulty.series(side.label())
@@ -214,6 +220,11 @@ impl Pipeline {
     pub fn totals(&self, side: Side) -> (u64, u64, u64) {
         let a = self.side(side);
         (a.total_blocks, a.total_txs, a.total_ommers)
+    }
+
+    /// Difficulty of the last block ingested (zero before the first).
+    pub fn last_difficulty(&self, side: Side) -> U256 {
+        self.side(side).last_difficulty
     }
 
     /// Total echoes observed into `side`.

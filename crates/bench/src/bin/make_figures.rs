@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cargo run --release -p fork-bench --bin make-figures -- all
-//! cargo run --release -p fork-bench --bin make-figures -- fig1 --days 31
+//! cargo run --release -p fork-bench --bin make-figures -- fig1
 //! cargo run --release -p fork-bench --bin make-figures -- fig2 fig3 --days 280
 //! cargo run --release -p fork-bench --bin make-figures -- resolved obs
 //! cargo run --release -p fork-bench --bin make-figures -- micro --telemetry-out telemetry.json
@@ -15,6 +15,11 @@
 //! cargo run --release -p fork-bench --bin make-figures -- interarrival
 //! cargo run --release -p fork-bench --bin make-figures -- macro --quick
 //! ```
+//!
+//! Every meso target reads one study per seed: `--days N` (default 280)
+//! sets its length, and Figure 1, `interarrival` and the short-term
+//! observations read its first month. When only `fig1` and `interarrival`
+//! are asked for, the study stops after that month (`min(N, 31)` days).
 //!
 //! The `archive` target runs a study streamed into a durable on-disk
 //! archive (or, when `--archive-dir` already holds one, replays it without
@@ -34,7 +39,7 @@
 //! `trace.json` (Chrome trace-event format, loadable in `chrome://tracing`
 //! / Perfetto) plus `propagation.md` (per-side time-to-coverage, pre- vs
 //! post-fork). `--progress` prints one stderr heartbeat per simulated day
-//! on the long meso runs.
+//! of the meso study.
 //!
 //! Writes `figN.csv` / `figN.json` plus `observations.md` into `--out`
 //! (default `figures/`), and prints ASCII renderings. With
@@ -51,7 +56,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use fork_core::{observations, ForkStudy, StudyResult};
+use fork_core::{observations, ForkStudy, StudyResult, FIRST_MONTH_DAYS};
 use fork_sim::resolved::{run as run_resolved, ResolvedForkConfig};
 use fork_sim::{MicroConfig, MicroNet, NetView};
 use fork_telemetry::{MetricsRegistry, Snapshot, TimingMode};
@@ -88,8 +93,7 @@ fn usage() -> String {
 #[derive(Debug)]
 struct Args {
     targets: HashSet<String>,
-    days_short: u64,
-    days_long: u64,
+    days: u64,
     seed: u64,
     out: PathBuf,
     telemetry_out: Option<PathBuf>,
@@ -105,8 +109,7 @@ struct Args {
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         targets: HashSet::new(),
-        days_short: 31,
-        days_long: 280,
+        days: 280,
         seed: 2016,
         out: PathBuf::from("figures"),
         telemetry_out: None,
@@ -127,11 +130,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .map_err(|_| format!("{arg} takes a number, got `{v}`"))
         };
         match arg.as_str() {
-            "--days" => {
-                let v = number(value("a number")?)?;
-                args.days_short = v.min(31);
-                args.days_long = v;
-            }
+            "--days" => args.days = number(value("a number")?)?,
             "--seed" => args.seed = number(value("a number")?)?,
             "--out" => args.out = PathBuf::from(value("a path")?),
             "--telemetry-out" => args.telemetry_out = Some(PathBuf::from(value("a path")?)),
@@ -233,63 +232,35 @@ fn main() {
     let mut telemetry = Snapshot::default();
 
     let wants = |t: &str| args.targets.contains(t);
-    let wants_short = wants("fig1") || wants("interarrival");
-    let wants_long =
+    let wants_first_month = wants("fig1") || wants("interarrival");
+    let wants_whole_run =
         wants("fig2") || wants("fig3") || wants("fig4") || wants("fig5") || wants("obs");
 
-    let mut short_result: Option<StudyResult> = None;
-    let mut long_result: Option<StudyResult> = None;
-
-    if wants_short {
-        eprintln!(
-            "Running the fork-month window ({} days, seed {})...",
-            args.days_short, args.seed
-        );
-        let run_span = registry.span("figures.run.fork_month");
+    if wants_first_month || wants_whole_run {
+        let days = if wants_whole_run {
+            args.days
+        } else {
+            args.days.min(FIRST_MONTH_DAYS)
+        };
+        eprintln!("Running the study ({days} days, seed {})...", args.seed);
+        let run_span = registry.span("figures.run.study");
         let guard = run_span.enter();
-        let study = ForkStudy::days(args.seed, args.days_short);
-        short_result = Some(if args.progress {
-            let mut beat = heartbeat("fork-month");
+        let study = ForkStudy::days(args.seed, days);
+        let result = if args.progress {
+            let mut beat = heartbeat("study");
             study.run_with_progress(Some(&mut beat))
         } else {
             study.run()
-        });
+        };
         drop(guard);
         eprintln!(
             "  done in {:.1}s",
             run_span.snapshot().total_ns as f64 / 1e9
         );
-    }
-    if wants_long {
-        eprintln!(
-            "Running the nine-month window ({} days, seed {})...",
-            args.days_long, args.seed
-        );
-        let run_span = registry.span("figures.run.nine_months");
-        let guard = run_span.enter();
-        let study = ForkStudy::days(args.seed, args.days_long);
-        long_result = Some(if args.progress {
-            let mut beat = heartbeat("nine-months");
-            study.run_with_progress(Some(&mut beat))
-        } else {
-            study.run()
-        });
-        drop(guard);
-        eprintln!(
-            "  done in {:.1}s",
-            run_span.snapshot().total_ns as f64 / 1e9
-        );
-    }
-    for result in [&short_result, &long_result].into_iter().flatten() {
         telemetry.merge(&result.telemetry);
-    }
-
-    if let Some(result) = &short_result {
         if wants("fig1") {
             write_figure(&args.out, &result.figure1());
         }
-    }
-    if let Some(result) = &long_result {
         if wants("fig2") {
             write_figure(&args.out, &result.figure2());
         }
@@ -303,18 +274,28 @@ fn main() {
             write_figure(&args.out, &result.figure5());
         }
         if wants("obs") {
-            let mut report = observations::long_term(result);
-            if let Some(short) = &short_result {
-                // The fork-month run measures the short-term observations
-                // more sharply; replace the long run's copies of those rows.
-                let short_report = observations::short_term(short);
-                let n = short_report.observations.len();
-                report.observations.splice(0..n, short_report.observations);
-            }
-            let md = report.to_markdown();
+            let md = observations::long_term(&result).to_markdown();
             println!("Observations (paper vs measured)\n{md}");
             std::fs::write(args.out.join("observations.md"), &md).expect("write observations");
             println!("  -> {}\n", args.out.join("observations.md").display());
+        }
+        if wants("interarrival") {
+            let series = result.interarrival_series();
+            let refs: Vec<&fork_analytics::TimeSeries> = series.iter().collect();
+            let csv = args.out.join("interarrival.csv");
+            let json = args.out.join("interarrival.json");
+            fork_analytics::write_csv(&csv, &refs).expect("write interarrival csv");
+            fork_analytics::write_json(&json, &refs).expect("write interarrival json");
+            for s in &series {
+                let n: f64 = s.points.iter().map(|(_, v)| v).sum();
+                println!(
+                    "{}: {} samples across {} log2 buckets",
+                    s.label,
+                    n,
+                    s.points.len()
+                );
+            }
+            println!("  -> {} and {}\n", csv.display(), json.display());
         }
     }
 
@@ -635,27 +616,6 @@ fn main() {
         telemetry.merge(&net.telemetry_snapshot());
     }
 
-    if wants("interarrival") {
-        if let Some(result) = short_result.as_ref().or(long_result.as_ref()) {
-            let series = result.interarrival_series();
-            let refs: Vec<&fork_analytics::TimeSeries> = series.iter().collect();
-            let csv = args.out.join("interarrival.csv");
-            let json = args.out.join("interarrival.json");
-            fork_analytics::write_csv(&csv, &refs).expect("write interarrival csv");
-            fork_analytics::write_json(&json, &refs).expect("write interarrival json");
-            for s in &series {
-                let n: f64 = s.points.iter().map(|(_, v)| v).sum();
-                println!(
-                    "{}: {} samples across {} log2 buckets",
-                    s.label,
-                    n,
-                    s.points.len()
-                );
-            }
-            println!("  -> {} and {}\n", csv.display(), json.display());
-        }
-    }
-
     if wants("archive") {
         let dir = args
             .archive_dir
@@ -673,13 +633,13 @@ fn main() {
                 );
                 ForkStudy::quick(args.seed)
             } else {
+                let days = args.days.min(FIRST_MONTH_DAYS);
                 eprintln!(
-                    "Running and archiving the fork-month window ({} days, seed {}) into {}...",
-                    args.days_short,
+                    "Running and archiving the first month ({days} days, seed {}) into {}...",
                     args.seed,
                     dir.display()
                 );
-                ForkStudy::days(args.seed, args.days_short)
+                ForkStudy::days(args.seed, days)
             };
             let run_span = registry.span("figures.run.archive");
             let guard = run_span.enter();
@@ -847,12 +807,12 @@ mod tests {
         .unwrap();
         let want: HashSet<String> = ["fig1", "macro"].iter().map(|t| t.to_string()).collect();
         assert_eq!(args.targets, want);
-        assert_eq!((args.days_short, args.days_long, args.seed), (3, 3, 7));
+        assert_eq!((args.days, args.seed), (3, 7));
         assert_eq!(args.out, PathBuf::from("d"));
         assert!(args.quick && !args.progress);
 
-        let long = parse(&["fig2", "--days", "280"]).unwrap();
-        assert_eq!((long.days_short, long.days_long), (31, 280));
+        assert_eq!(parse(&["fig2", "--days", "45"]).unwrap().days, 45);
+        assert_eq!(parse(&["fig2"]).unwrap().days, 280);
     }
 
     #[test]

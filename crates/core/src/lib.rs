@@ -26,4 +26,4 @@ pub mod study;
 pub use figures::{FigureData, FigurePanel};
 pub use observations::{Observation, ObservationReport};
 pub use report::{full_report, summary_text};
-pub use study::{ForkStudy, StudyResult};
+pub use study::{ForkStudy, StudyResult, FIRST_MONTH_DAYS};

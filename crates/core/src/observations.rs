@@ -3,6 +3,7 @@
 
 use fork_analytics::{correlation, ratio};
 use fork_primitives::time::TARGET_BLOCK_TIME_SECS;
+use fork_primitives::SimTime;
 use fork_replay::Side;
 use fork_telemetry::json::Value;
 
@@ -70,10 +71,12 @@ fn target_blocks_per_hour() -> f64 {
     3_600.0 / TARGET_BLOCK_TIME_SECS as f64
 }
 
-/// Runs the short-term checks (need ≥ the fork month of data).
+/// Runs the short-term checks over the run's first month
+/// ([`StudyResult::first_month`]).
 pub fn short_term(result: &StudyResult) -> ObservationReport {
     let mut obs = Vec::new();
-    let etc_bph = result.pipeline.blocks_per_hour(Side::Etc);
+    let pipeline = result.first_month();
+    let etc_bph = pipeline.blocks_per_hour(Side::Etc);
     let start = result.start;
 
     // O1: drastic, rapid partition — ETC block production collapses.
@@ -102,7 +105,7 @@ pub fn short_term(result: &StudyResult) -> ObservationReport {
         let mut recovery_hours = None;
         let threshold = 0.75 * target_blocks_per_hour();
         for (t, _) in &etc_bph.points {
-            let from = fork_primitives::SimTime::from_unix(*t);
+            let from = SimTime::from_unix(*t);
             let window = etc_bph.window(from, from.plus_secs(6 * 3_600));
             if window.len() >= 4 && window.mean() >= threshold {
                 recovery_hours = Some((from.secs_since(start)) / 3_600);
@@ -125,7 +128,7 @@ pub fn short_term(result: &StudyResult) -> ObservationReport {
 
     // O2b: the inter-block delta spike.
     {
-        let delta = result.pipeline.block_delta(Side::Etc);
+        let delta = pipeline.block_delta(Side::Etc);
         let max = delta.value_range().map(|(_, hi)| hi).unwrap_or(0.0);
         obs.push(Observation {
             id: "O2b",
@@ -137,7 +140,7 @@ pub fn short_term(result: &StudyResult) -> ObservationReport {
 
     // O2c: the mirror-image difficulty exchange (miners switching back).
     {
-        let etc_diff = result.pipeline.daily_difficulty(Side::Etc);
+        let etc_diff = pipeline.daily_difficulty(Side::Etc);
         let d9 = etc_diff.nearest(start.plus_days(9)).unwrap_or(0.0);
         let d18 = etc_diff.nearest(start.plus_days(18)).unwrap_or(0.0);
         let gain = if d9 > 0.0 { d18 / d9 } else { 0.0 };
@@ -150,7 +153,35 @@ pub fn short_term(result: &StudyResult) -> ObservationReport {
         });
     }
 
-    obs.extend(replay_checks(result));
+    // O5a: the initial echo spike. Daily series are bucketed at midnight
+    // UTC, so the window starts at the fork *day*, not the fork instant.
+    {
+        let day_start = start.date().to_sim_time();
+        let peak = pipeline
+            .echo_percent(Side::Etc)
+            .window(day_start, day_start.plus_days(8))
+            .value_range()
+            .map(|(_, hi)| hi)
+            .unwrap_or(0.0);
+        obs.push(Observation {
+            id: "O5a",
+            paper:
+                "A high level of rebroadcasting initially after the fork (up to ~50% of ETC txs)",
+            measured: format!("peak ETC echo share in week 1 = {peak:.0}%"),
+            pass: peak > 25.0,
+        });
+    }
+    // O5b: direction asymmetry.
+    {
+        let into_etc = pipeline.total_echoes(Side::Etc);
+        let into_eth = pipeline.total_echoes(Side::Eth);
+        obs.push(Observation {
+            id: "O5b",
+            paper: "Most rebroadcasts were originally broadcast in ETH and rebroadcast into ETC",
+            measured: format!("echoes into ETC = {into_etc}, into ETH = {into_eth}"),
+            pass: into_etc > into_eth,
+        });
+    }
     ObservationReport { observations: obs }
 }
 
@@ -223,7 +254,7 @@ pub fn long_term(result: &StudyResult) -> ObservationReport {
         // Daily top-N is noisy; "converged" is judged on the final month's
         // mean, exactly as one reads Figure 5.
         let month = 30 * 86_400;
-        let last_month = fork_primitives::SimTime::from_unix(late.as_unix().saturating_sub(month));
+        let last_month = SimTime::from_unix(late.as_unix().saturating_sub(month));
         let eth_end = eth5.window(last_month, late).mean();
         let etc_end = etc5.window(last_month, late).mean();
         let gap_start = eth_start - etc_start;
@@ -244,41 +275,6 @@ pub fn long_term(result: &StudyResult) -> ObservationReport {
     }
 
     ObservationReport { observations: obs }
-}
-
-/// Replay-channel checks (apply to any window).
-fn replay_checks(result: &StudyResult) -> Vec<Observation> {
-    let mut obs = Vec::new();
-    let etc_pct = result.pipeline.echo_percent(Side::Etc);
-    // O5a: the initial echo spike. Daily series are bucketed at midnight
-    // UTC, so the window starts at the fork *day*, not the fork instant.
-    {
-        let day_start = result.start.date().to_sim_time();
-        let peak = etc_pct
-            .window(day_start, day_start.plus_days(8))
-            .value_range()
-            .map(|(_, hi)| hi)
-            .unwrap_or(0.0);
-        obs.push(Observation {
-            id: "O5a",
-            paper:
-                "A high level of rebroadcasting initially after the fork (up to ~50% of ETC txs)",
-            measured: format!("peak ETC echo share in week 1 = {peak:.0}%"),
-            pass: peak > 25.0,
-        });
-    }
-    // O5b: direction asymmetry.
-    {
-        let into_etc = result.pipeline.total_echoes(Side::Etc);
-        let into_eth = result.pipeline.total_echoes(Side::Eth);
-        obs.push(Observation {
-            id: "O5b",
-            paper: "Most rebroadcasts were originally broadcast in ETH and rebroadcast into ETC",
-            measured: format!("echoes into ETC = {into_etc}, into ETH = {into_eth}"),
-            pass: into_etc > into_eth,
-        });
-    }
-    obs
 }
 
 #[cfg(test)]

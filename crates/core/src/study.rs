@@ -1,23 +1,71 @@
-//! The headline API: configure, run, extract figures.
+//! The headline API: configure, run, extract figures. One study is one
+//! simulated run; Figure 1, the inter-arrival export and the short-term
+//! observations read its first month ([`StudyResult::first_month`]).
 
 use std::path::Path;
 
-use fork_analytics::{Pipeline, TimeSeries};
+use fork_analytics::{BlockRecord, Pipeline, TimeSeries, TxRecord};
 use fork_archive::{ArchiveConfig, ArchiveError, ArchiveMeta, ArchiveReader, ArchiveWriter};
 use fork_market::PriceSeries;
 use fork_primitives::SimTime;
 use fork_replay::Side;
 use fork_sim::scenario;
 use fork_sim::{MesoConfig, ProgressEvent, RunSummary, SimRng, TeeSink, TwoChainEngine};
+use fork_telemetry::MetricsRegistry;
 
 use crate::figures::{FigureData, FigurePanel};
+
+/// Length of the window Figure 1 and the short-term observations cover:
+/// the month following the fork.
+pub const FIRST_MONTH_DAYS: u64 = 31;
+
+/// The study's pipelines: one over the whole run (timed under `registry`)
+/// and, when the run outlasts its first month, one fed only the records
+/// stamped before the cut.
+struct StudySink {
+    all: Pipeline,
+    first_month: Option<(u64, Pipeline)>,
+}
+
+impl StudySink {
+    fn new(registry: &MetricsRegistry, start: SimTime, end: SimTime) -> Self {
+        let mut all = Pipeline::new();
+        all.attach_telemetry(registry);
+        let month = FIRST_MONTH_DAYS * 86_400;
+        let first_month =
+            (end.secs_since(start) > month).then(|| (start.as_unix() + month, Pipeline::new()));
+        StudySink { all, first_month }
+    }
+
+    /// The first-month pipeline, when `timestamp` falls before the cut.
+    fn first_month(&mut self, timestamp: u64) -> Option<&mut Pipeline> {
+        let (cut, pipeline) = self.first_month.as_mut()?;
+        (timestamp < *cut).then_some(pipeline)
+    }
+}
+
+impl fork_sim::LedgerSink for StudySink {
+    fn block(&mut self, record: BlockRecord) {
+        if let Some(first_month) = self.first_month(record.timestamp) {
+            first_month.ingest_block(&record);
+        }
+        self.all.ingest_block(&record);
+    }
+
+    fn tx(&mut self, record: TxRecord) {
+        if let Some(first_month) = self.first_month(record.timestamp) {
+            first_month.ingest_tx(&record);
+        }
+        self.all.ingest_tx(&record);
+    }
+}
 
 /// A configured fork study, ready to run.
 ///
 /// ```
 /// use fork_core::ForkStudy;
-/// // A fast, test-scale run (seconds); use `fork_month`/`nine_months`
-/// // for the paper-scale experiments.
+/// // A fast, test-scale run (seconds); `ForkStudy::days(seed, 280)` is the
+/// // paper-scale study.
 /// let result = ForkStudy::quick(42).run();
 /// let fig1 = result.figure1();
 /// assert_eq!(fig1.panels.len(), 3);
@@ -28,23 +76,8 @@ pub struct ForkStudy {
 }
 
 impl ForkStudy {
-    /// The Figure 1 window: one month after the fork, full difficulty scale.
-    pub fn fork_month(seed: u64) -> Self {
-        ForkStudy {
-            config: scenario::fork_month(seed),
-            seed,
-        }
-    }
-
-    /// The full nine-month study window (Figures 2–5).
-    pub fn nine_months(seed: u64) -> Self {
-        ForkStudy {
-            config: scenario::nine_months(seed),
-            seed,
-        }
-    }
-
-    /// A custom window of `days` on the calibrated scenario.
+    /// `days` of the calibrated scenario from the fork: 31 is Figure 1's
+    /// month, 280 the full study window (Figures 2–5).
     pub fn days(seed: u64, days: u64) -> Self {
         ForkStudy {
             config: scenario::dao_scenario(seed, days),
@@ -96,25 +129,18 @@ impl ForkStudy {
     /// observation-only: results are byte-identical with or without it.
     pub fn run_with_progress(self, progress: Option<&mut dyn FnMut(ProgressEvent)>) -> StudyResult {
         let mut engine = TwoChainEngine::new(self.config.clone());
-        let mut pipeline = Pipeline::new();
-        pipeline.attach_telemetry(engine.telemetry());
-        let mut sink = fork_sim::MeteredSink::registered(pipeline, engine.telemetry());
+        let sink = StudySink::new(engine.telemetry(), self.config.start, self.config.end);
+        let mut sink = fork_sim::MeteredSink::registered(sink, engine.telemetry());
         let summary = engine.run_with_progress(&mut sink, progress);
         let telemetry = engine.telemetry().snapshot();
-        let pipeline = sink.into_inner();
-        // Regenerate the exact price series the scenario's hashpower
-        // allocation used (same seed, same fork label).
-        let mut price_rng = SimRng::new(self.seed).fork("prices");
-        let (eth_usd, etc_usd) = fork_market::calibrated_pair(&mut price_rng);
-        StudyResult {
-            pipeline,
+        StudyResult::new(
+            sink.into_inner(),
             summary,
-            eth_usd,
-            etc_usd,
-            start: self.config.start,
-            end: self.config.end,
+            self.seed,
+            self.config.start,
+            self.config.end,
             telemetry,
-        }
+        )
     }
 
     /// Runs the simulation exactly as [`run`](Self::run) does while also
@@ -146,13 +172,12 @@ impl ForkStudy {
             end_unix: self.config.end.as_unix(),
         };
         let mut engine = TwoChainEngine::new(self.config.clone());
-        let mut pipeline = Pipeline::new();
-        pipeline.attach_telemetry(engine.telemetry());
+        let mut sink = StudySink::new(engine.telemetry(), self.config.start, self.config.end);
         let mut writer =
             ArchiveWriter::create_with(dir.as_ref(), config)?.with_telemetry(engine.telemetry());
         let summary = {
             let tee = TeeSink {
-                a: &mut pipeline,
+                a: &mut sink,
                 b: &mut writer,
             };
             let mut sink = fork_sim::MeteredSink::registered(tee, engine.telemetry());
@@ -160,66 +185,23 @@ impl ForkStudy {
         };
         writer.finish(Some(meta))?;
         let telemetry = engine.telemetry().snapshot();
-        let mut price_rng = SimRng::new(self.seed).fork("prices");
-        let (eth_usd, etc_usd) = fork_market::calibrated_pair(&mut price_rng);
-        Ok(StudyResult {
-            pipeline,
+        Ok(StudyResult::new(
+            sink,
             summary,
-            eth_usd,
-            etc_usd,
-            start: self.config.start,
-            end: self.config.end,
+            self.seed,
+            self.config.start,
+            self.config.end,
             telemetry,
-        })
+        ))
     }
 }
 
-/// Rebuilds per-side [`RunSummary`] counters from the archived stream.
-///
-/// `replay_pushes` is an engine-internal counter that never reaches the
-/// ledger stream, so it is not recoverable and stays 0; everything the
-/// figures depend on flows through the pipeline, not the summary.
-#[derive(Default)]
-struct ReplaySummarySink {
-    blocks: [u64; 2],
-    txs: [u64; 2],
-    final_difficulty: [fork_primitives::U256; 2],
-}
-
-impl ReplaySummarySink {
-    fn side_index(side: Side) -> usize {
-        match side {
-            Side::Eth => 0,
-            Side::Etc => 1,
-        }
-    }
-
-    fn into_summary(self) -> RunSummary {
-        RunSummary {
-            blocks: self.blocks,
-            txs: self.txs,
-            replay_pushes: 0,
-            final_difficulty: self.final_difficulty,
-        }
-    }
-}
-
-impl fork_sim::LedgerSink for ReplaySummarySink {
-    fn block(&mut self, record: fork_analytics::BlockRecord) {
-        let i = Self::side_index(record.network);
-        self.blocks[i] += 1;
-        self.final_difficulty[i] = record.difficulty;
-    }
-
-    fn tx(&mut self, record: fork_analytics::TxRecord) {
-        self.txs[Self::side_index(record.network)] += 1;
-    }
-}
-
-/// A completed run: the aggregated pipeline plus market context.
+/// A completed run: the aggregated pipelines plus market context.
 pub struct StudyResult {
-    /// The aggregation pipeline (all per-hour/per-day metrics).
+    /// The aggregation pipeline over the whole run.
     pub pipeline: Pipeline,
+    /// The pipeline over the run's first month, when the run is longer.
+    first_month: Option<Pipeline>,
     /// Run counters.
     pub summary: RunSummary,
     /// The ETH/USD series in force during the run.
@@ -236,23 +218,54 @@ pub struct StudyResult {
 }
 
 impl StudyResult {
+    fn new(
+        sink: StudySink,
+        summary: RunSummary,
+        seed: u64,
+        start: SimTime,
+        end: SimTime,
+        telemetry: fork_telemetry::Snapshot,
+    ) -> Self {
+        // Regenerate the exact price series the scenario's hashpower
+        // allocation used (same seed, same fork label).
+        let mut price_rng = SimRng::new(seed).fork("prices");
+        let (eth_usd, etc_usd) = fork_market::calibrated_pair(&mut price_rng);
+        StudyResult {
+            pipeline: sink.all,
+            first_month: sink.first_month.map(|(_, pipeline)| pipeline),
+            summary,
+            eth_usd,
+            etc_usd,
+            start,
+            end,
+            telemetry,
+        }
+    }
+
+    /// The pipeline over the month following the fork (the whole run when
+    /// it is no longer): what Figure 1, the inter-arrival export and the
+    /// short-term observations read.
+    pub fn first_month(&self) -> &Pipeline {
+        self.first_month.as_ref().unwrap_or(&self.pipeline)
+    }
+
     /// Reconstructs a study from an archive written by
     /// [`ForkStudy::archive_to`], without re-running the simulation.
     ///
     /// The archived record stream is replayed — in its original global
-    /// order — through a fresh [`Pipeline`], so every figure export is
-    /// byte-identical to the live run's. Prices are regenerated from the
-    /// manifest's seed (the same derivation the live run used). The
-    /// returned summary is rebuilt from the stream: `replay_pushes` is not
-    /// recoverable (always 0), and a side that mined no blocks reports
-    /// zero difficulty rather than the genesis difficulty.
+    /// order — through fresh pipelines cut as the live run's were, so every
+    /// figure export is byte-identical to the live run's. Prices are
+    /// regenerated from the manifest's seed (the same derivation the live
+    /// run used). The returned summary is rebuilt from the stream:
+    /// `replay_pushes` is not recoverable (always 0), and a side that mined
+    /// no blocks reports zero difficulty rather than the genesis difficulty.
     ///
     /// Fails with [`ArchiveError::Manifest`] when the archive carries no
     /// manifest (e.g. it was produced by a raw [`ArchiveWriter`] finished
     /// without [`ArchiveMeta`]).
     pub fn from_archive(dir: impl AsRef<Path>) -> Result<StudyResult, ArchiveError> {
         let dir = dir.as_ref();
-        let registry = fork_telemetry::MetricsRegistry::new();
+        let registry = MetricsRegistry::new();
         let reader = ArchiveReader::open_with_telemetry(dir, &registry)?;
         let meta = reader.meta().ok_or_else(|| ArchiveError::Manifest {
             path: dir.join("manifest.json"),
@@ -260,49 +273,49 @@ impl StudyResult {
                      ForkStudy::archive_to, or pass ArchiveMeta to ArchiveWriter::finish"
                 .into(),
         })?;
-        let mut pipeline = Pipeline::new();
-        pipeline.attach_telemetry(&registry);
-        let mut recount = ReplaySummarySink::default();
-        {
-            let mut tee = TeeSink {
-                a: &mut pipeline,
-                b: &mut recount,
-            };
-            reader.replay_into_sink(&mut tee)?;
-        }
-        let mut price_rng = SimRng::new(meta.seed).fork("prices");
-        let (eth_usd, etc_usd) = fork_market::calibrated_pair(&mut price_rng);
-        Ok(StudyResult {
-            pipeline,
-            summary: recount.into_summary(),
-            eth_usd,
-            etc_usd,
-            start: SimTime::from_unix(meta.start_unix),
-            end: SimTime::from_unix(meta.end_unix),
-            telemetry: registry.snapshot(),
-        })
+        let (start, end) = (
+            SimTime::from_unix(meta.start_unix),
+            SimTime::from_unix(meta.end_unix),
+        );
+        let mut sink = StudySink::new(&registry, start, end);
+        reader.replay_into_sink(&mut sink)?;
+        let [(eth_blocks, eth_txs, _), (etc_blocks, etc_txs, _)] =
+            [Side::Eth, Side::Etc].map(|side| sink.all.totals(side));
+        let summary = RunSummary {
+            blocks: [eth_blocks, etc_blocks],
+            txs: [eth_txs, etc_txs],
+            replay_pushes: 0,
+            final_difficulty: [Side::Eth, Side::Etc].map(|side| sink.all.last_difficulty(side)),
+        };
+        Ok(StudyResult::new(
+            sink,
+            summary,
+            meta.seed,
+            start,
+            end,
+            registry.snapshot(),
+        ))
     }
 
-    /// Block inter-arrival distributions (`meso.interarrival.{eth,etc}`
-    /// telemetry histograms) as figure-style series: x is each occupied
-    /// log2 bucket's lower bound in seconds, y its block count. Empty for
-    /// archive replays, which carry no engine histograms.
+    /// The first month's block inter-arrival distributions as figure-style
+    /// series: x is each occupied log2 bucket's lower bound in seconds, y
+    /// its block count.
     pub fn interarrival_series(&self) -> Vec<TimeSeries> {
-        let mut out = Vec::new();
-        for (name, label) in [
-            ("meso.interarrival.eth", "ETH inter-arrival (s)"),
-            ("meso.interarrival.etc", "ETC inter-arrival (s)"),
-        ] {
-            if let Some(h) = self.telemetry.histograms.get(name) {
-                out.push(fork_analytics::histogram_series(label, h));
-            }
-        }
-        out
+        [Side::Eth, Side::Etc]
+            .into_iter()
+            .map(|side| {
+                fork_analytics::histogram_series(
+                    format!("{} inter-arrival (s)", side.label()),
+                    self.first_month().interarrival(side),
+                )
+            })
+            .collect()
     }
 
     /// Figure 1: blocks/hour, block difficulty, inter-block delta — the
     /// month following the fork.
     pub fn figure1(&self) -> FigureData {
+        let first_month = self.first_month();
         FigureData {
             id: "fig1",
             caption: "Blocks per hour, block difficulty, and time delta between blocks \
@@ -311,24 +324,24 @@ impl StudyResult {
                 FigurePanel {
                     title: "Blocks per Hour".into(),
                     series: vec![
-                        self.pipeline.blocks_per_hour(Side::Eth),
-                        self.pipeline.blocks_per_hour(Side::Etc),
+                        first_month.blocks_per_hour(Side::Eth),
+                        first_month.blocks_per_hour(Side::Etc),
                     ],
                     log_scale: false,
                 },
                 FigurePanel {
                     title: "Block Difficulty".into(),
                     series: vec![
-                        self.pipeline.hourly_difficulty(Side::Eth),
-                        self.pipeline.hourly_difficulty(Side::Etc),
+                        first_month.hourly_difficulty(Side::Eth),
+                        first_month.hourly_difficulty(Side::Etc),
                     ],
                     log_scale: false,
                 },
                 FigurePanel {
                     title: "Block Delta (sec)".into(),
                     series: vec![
-                        self.pipeline.block_delta(Side::Eth),
-                        self.pipeline.block_delta(Side::Etc),
+                        first_month.block_delta(Side::Eth),
+                        first_month.block_delta(Side::Etc),
                     ],
                     log_scale: false,
                 },
@@ -509,6 +522,9 @@ mod tests {
                 assert_eq!(ca, cb, "{} / {}", a.id, pa.title);
             }
         }
+        let interarrival = live.interarrival_series();
+        assert!(interarrival.iter().all(|s| !s.is_empty()));
+        assert_eq!(replayed.interarrival_series(), interarrival);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -588,5 +604,57 @@ mod tests {
         let eth_total: f64 = series[0].points.iter().map(|(_, n)| n).sum();
         // Every block after the first contributes one inter-arrival sample.
         assert_eq!(eth_total as u64 + 1, result.summary.blocks[0]);
+        // The pipeline's fold equals the engine's own histogram.
+        for (side, name) in [
+            (Side::Eth, "meso.interarrival.eth"),
+            (Side::Etc, "meso.interarrival.etc"),
+        ] {
+            assert_eq!(
+                result.first_month().interarrival(side),
+                &result.telemetry.histograms[name]
+            );
+        }
+    }
+
+    /// The first-month cut of a longer run equals a run that ends at the
+    /// cut. With `retention` 32 the short run flushes its reorg windows at
+    /// its end, so this also covers the order records drain in there.
+    #[test]
+    fn first_month_cut_equals_a_run_ended_at_the_cut() {
+        const CUT_SECS: u64 = 3 * 3_600;
+        for seed in 1..=3 {
+            let config = ForkStudy::quick(seed).config;
+            let mut engine = TwoChainEngine::new(config.clone());
+            let mut sink = StudySink {
+                all: Pipeline::new(),
+                first_month: Some((config.start.as_unix() + CUT_SECS, Pipeline::new())),
+            };
+            let summary = engine.run(&mut sink);
+            let telemetry = engine.telemetry().snapshot();
+            let long = StudyResult::new(sink, summary, seed, config.start, config.end, telemetry);
+            let mut short = ForkStudy::quick(seed);
+            short.config.end = short.config.start.plus_secs(CUT_SECS);
+            let short = short.run();
+            assert!(long.first_month.is_some() && short.first_month.is_none());
+            assert!(
+                long.pipeline.totals(Side::Eth).0 > long.first_month().totals(Side::Eth).0,
+                "seed {seed}: the cut keeps only part of the run"
+            );
+
+            let (a, b) = (long.figure1(), short.figure1());
+            assert_eq!(a.all_series(), b.all_series(), "seed {seed}: figure 1");
+            for side in [Side::Eth, Side::Etc] {
+                assert_eq!(
+                    long.first_month().interarrival(side),
+                    short.pipeline.interarrival(side),
+                    "seed {seed}: {side:?} inter-arrival fold"
+                );
+            }
+            assert_eq!(
+                crate::observations::short_term(&long).to_markdown(),
+                crate::observations::short_term(&short).to_markdown(),
+                "seed {seed}: short-term observations"
+            );
+        }
     }
 }

@@ -12,13 +12,12 @@
 //! construction — the concurrency tests assert this byte-for-byte.
 //!
 //! Aggregates stream into the very folds the live pipeline uses
-//! (`fork_analytics::aggregate`, one fold per aggregate) and the exact
-//! bucketing the telemetry histograms use (`fork_telemetry::bucket_index`),
-//! so a full-range query reproduces the live run's series and histograms
-//! bit-identically.
+//! (`fork_analytics::aggregate`, one fold per aggregate; the inter-arrival
+//! fold buckets as the engine's telemetry histograms do), so a full-range
+//! query reproduces the live run's series and histograms bit-identically.
 
 use fork_analytics::{
-    echo_windows, ratio, BlockRecord, DailyDifficulty, DailyTxs, TimeSeries, TxRecord,
+    echo_windows, ratio, BlockRecord, DailyDifficulty, DailyTxs, InterArrival, TimeSeries, TxRecord,
 };
 use fork_archive::{merge_by_seq, ArchiveError, ArchiveReader, ArchiveRecord};
 use fork_replay::{EchoDetector, Side};
@@ -264,17 +263,11 @@ pub(crate) fn evaluate(
             Ok(QueryOutput::Txs(out))
         }
         Projection::InterArrival => {
-            // `HistogramSnapshot::record` mirrors the live histogram's
-            // bucketing without its atomics.
-            let mut h = HistogramSnapshot::default();
-            let mut prev: Option<u64> = None;
+            let mut fold = InterArrival::default();
             for_each_block(source, query.side.expect("validated"), range, |b| {
-                if let Some(p) = prev {
-                    h.record(b.timestamp.saturating_sub(p));
-                }
-                prev = Some(b.timestamp);
+                fold.push(&b);
             })?;
-            Ok(QueryOutput::Histogram(Box::new(h)))
+            Ok(QueryOutput::Histogram(Box::new(fold.histogram().clone())))
         }
         Projection::Difficulty => {
             let side = query.side.expect("validated");

@@ -255,11 +255,6 @@ pub fn dao_scenario(seed: u64, days: u64) -> MesoConfig {
     }
 }
 
-/// Figure 1's window: the month following the fork.
-pub fn fork_month(seed: u64) -> MesoConfig {
-    dao_scenario(seed, 31)
-}
-
 /// The chaos harness preset: a fork-split micro network plus the metadata
 /// the harness needs to judge it.
 #[derive(Debug, Clone)]
@@ -406,11 +401,6 @@ pub fn trace_scenario(seed: u64) -> ChaosScenario {
     }
     scenario.faults_clear_secs = 0;
     scenario
-}
-
-/// Figures 2–5's window: the full nine-month study (280 days).
-pub fn nine_months(seed: u64) -> MesoConfig {
-    dao_scenario(seed, 280)
 }
 
 /// One fork-atlas preset: a partition scenario plus the metadata the atlas
@@ -695,8 +685,8 @@ mod tests {
     }
 
     #[test]
-    fn fork_month_config_sane() {
-        let c = fork_month(1);
+    fn first_month_config_sane() {
+        let c = dao_scenario(1, 31);
         assert_eq!(c.end.secs_since(c.start), 31 * 86_400);
         assert_eq!(c.genesis_difficulty, fork_difficulty());
         // ETH hashrate at start sustains ~14s blocks on the genesis

@@ -15,8 +15,8 @@
 //! ```
 //! use stick_a_fork::core::{observations, ForkStudy};
 //!
-//! // Test-scale run (seconds). Use ForkStudy::fork_month / nine_months for
-//! // the paper-scale experiments (see the `make-figures` binary).
+//! // Test-scale run (seconds). Use ForkStudy::days(seed, 280) for the
+//! // paper-scale study (see the `make-figures` binary).
 //! let result = ForkStudy::quick(42).run();
 //! println!("{}", stick_a_fork::core::summary_text(&result));
 //! let obs = observations::short_term(&result);
