@@ -24,14 +24,19 @@
 //!   the archive without re-running the simulation.
 //! - [`QueryExecutor`] runs batches across a worker pool with
 //!   deterministic, input-ordered results and a `query.latency` histogram.
+//!   It evaluates every full-range query of a batch in one pass per
+//!   side-set ({ETH}, {ETC}, both), so a batch reads each whole side once
+//!   per group however many queries share it.
 //!
 //! ## Determinism
 //!
 //! Pooled, cached, multi-threaded evaluation returns **byte-identical**
 //! results to a naive single-threaded scan ([`QueryExecutor::run_naive`]).
 //! This holds by construction, not by tolerance: one evaluation function
-//! runs over an abstract record source, sources yield the same per-side
-//! record sequence in write order, the cache only short-circuits I/O
+//! feeds one fold per query from a stream over an abstract record source
+//! (a single query is a group of one), each fold applies its own side and
+//! range filters, sources yield the same per-side record sequence in
+//! write order, the cache only short-circuits I/O
 //! (hits return the same decoded frames a read would), and aggregates
 //! stream into the live pipeline's own folds (`fork_analytics::aggregate`)
 //! and the telemetry histogram's own bucketing
@@ -379,6 +384,119 @@ mod tests {
             "one latency sample per query"
         );
         assert!(pool.cache().stats().misses > 0);
+    }
+
+    /// `Ok` outputs equal, or `Err`s that read the same.
+    fn assert_same(
+        got: &Result<QueryOutput, QueryError>,
+        want: &Result<QueryOutput, QueryError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+            _ => panic!("{what}: {got:?} vs {want:?}"),
+        }
+    }
+
+    #[test]
+    fn grouped_batch_equals_each_query_alone() {
+        let dir = fixture("grouped");
+        let registry = fork_telemetry::MetricsRegistry::new();
+        let pool = ReaderPool::open(&dir).unwrap();
+        let naive_reader = ArchiveReader::open(&dir).unwrap();
+        let exec = QueryExecutor::new(2).with_telemetry(&registry);
+        let q = |side, range, projection| Query {
+            side,
+            range,
+            projection,
+        };
+        let time = QueryRange::Time {
+            start: 1_469_000_000 + 20 * 900,
+            end: 1_469_000_000 + 80 * 900,
+        };
+        let mut queries = Vec::new();
+        for side in [Side::Eth, Side::Etc] {
+            for projection in [
+                Projection::Blocks,
+                Projection::Txs,
+                Projection::InterArrival,
+                Projection::Difficulty,
+                Projection::Echoes { window_days: 1 },
+                Projection::Echoes { window_days: 7 },
+            ] {
+                queries.push(q(Some(side), QueryRange::All, projection));
+            }
+        }
+        queries.extend([
+            q(None, QueryRange::All, Projection::TxRatioPerDay),
+            // A duplicate lands in the same group and gets its own fold.
+            q(Some(Side::Etc), QueryRange::All, Projection::Difficulty),
+            // Echoes of any range read both whole sides: the both-sides
+            // group takes it.
+            q(Some(Side::Eth), time, Projection::Echoes { window_days: 1 }),
+            // Invalid: transactions carry no block number.
+            q(
+                Some(Side::Eth),
+                QueryRange::Blocks { first: 0, last: 5 },
+                Projection::Txs,
+            ),
+            // Bounded windows go through the cache, one at a time.
+            q(
+                Some(Side::Etc),
+                QueryRange::Blocks {
+                    first: 30,
+                    last: 90,
+                },
+                Projection::Blocks,
+            ),
+            q(Some(Side::Eth), time, Projection::Txs),
+            q(None, time, Projection::TxRatioPerDay),
+        ]);
+        let batched = exec.run_batch(&pool, &queries);
+        assert_eq!(batched.len(), queries.len());
+        assert_eq!(
+            exec.latency_snapshot().count,
+            queries.len() as u64,
+            "one latency sample per query, grouped or not"
+        );
+        for (query, got) in queries.iter().zip(&batched) {
+            let alone = exec.run(&pool, query);
+            let naive = QueryExecutor::run_naive(&naive_reader, query);
+            assert_same(got, &alone, &format!("batch vs run: {query:?}"));
+            assert_same(got, &naive, &format!("batch vs naive: {query:?}"));
+        }
+        assert_eq!(batched.iter().filter(|r| r.is_err()).count(), 1);
+
+        // One pass over every valid query at once — both sides merged, the
+        // whole archive for mixed ranges — still gives each its own answer:
+        // each fold applies its own side and range.
+        let valid: Vec<&Query> = queries.iter().filter(|q| q.validate().is_ok()).collect();
+        let source = crate::query::NaiveSource(&naive_reader);
+        let together = crate::query::evaluate_group(&source, &valid).unwrap();
+        for (query, got) in valid.iter().zip(together) {
+            let alone = QueryExecutor::run_naive(&naive_reader, query).unwrap();
+            assert_eq!(got, alone, "one pass for all vs alone: {query:?}");
+        }
+
+        // Only the full-range part: no cache lookups at all.
+        let fresh = ReaderPool::open(&dir).unwrap();
+        let full: Vec<Query> = queries
+            .iter()
+            .filter(|q| q.validate().is_ok() && q.scan_range() == QueryRange::All)
+            .copied()
+            .collect();
+        assert_eq!(full.len(), queries.len() - 4);
+        for (query, got) in full.iter().zip(exec.run_batch(&fresh, &full)) {
+            let naive = QueryExecutor::run_naive(&naive_reader, query);
+            assert_same(&got, &naive, &format!("full batch vs naive: {query:?}"));
+        }
+        let stats = fresh.cache().stats();
+        assert_eq!(
+            stats.hits + stats.misses,
+            0,
+            "a full-range batch streams past the cache"
+        );
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //! sequence in write order), pooled and naive results are identical by
 //! construction — the concurrency tests assert this byte-for-byte.
 //!
-//! Aggregates stream into the very folds the live pipeline uses
-//! (`fork_analytics::aggregate`, one fold per aggregate; the inter-arrival
-//! fold buckets as the engine's telemetry histograms do), so a full-range
-//! query reproduces the live run's series and histograms bit-identically.
+//! Each query is one `Fold`: it is pushed the records of a stream and
+//! keeps those its own side and range select. `evaluate_group` feeds one
+//! stream to many folds, so a batch reads each whole side once however
+//! many queries it holds; `evaluate` is a group of one. Aggregates stream
+//! into the very folds the live pipeline uses (`fork_analytics::aggregate`,
+//! one fold per aggregate; the inter-arrival fold buckets as the engine's
+//! telemetry histograms do), so a full-range query reproduces the live
+//! run's series and histograms bit-identically.
 
 use fork_analytics::{
     echo_windows, ratio, BlockRecord, DailyDifficulty, DailyTxs, InterArrival, TimeSeries, TxRecord,
@@ -203,111 +207,198 @@ fn day_in_range(range: &QueryRange, day: u64) -> bool {
     }
 }
 
-/// Streams the in-range blocks of `side` into `f`, in write order.
-fn for_each_block(
-    source: &dyn RecordSource,
-    side: Side,
-    range: &QueryRange,
-    mut f: impl FnMut(BlockRecord),
-) -> Result<(), QueryError> {
-    for item in source.stream(side, range) {
-        if let (_, ArchiveRecord::Block(b)) = item? {
-            if block_in_range(range, &b) {
-                f(b);
-            }
-        }
-    }
-    Ok(())
+/// The sides whose streams a query reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sides {
+    /// One side's stream.
+    One(Side),
+    /// Both sides, merged into global order by [`merge_by_seq`].
+    Both,
 }
 
-/// Streams the in-range transactions of `side` into `f`, in write order.
-fn for_each_tx(
-    source: &dyn RecordSource,
-    side: Side,
-    range: &QueryRange,
-    mut f: impl FnMut(TxRecord),
-) -> Result<(), QueryError> {
-    for item in source.stream(side, range) {
-        if let (_, ArchiveRecord::Tx(t)) = item? {
-            if ts_in_range(range, t.timestamp) {
-                f(t);
-            }
+impl Query {
+    /// The sides this query's stream covers. `TxRatioPerDay` needs both;
+    /// so does every `Echoes`, because echo-ness depends on which side saw
+    /// a hash first.
+    pub(crate) fn sides(&self) -> Sides {
+        match (self.projection, self.side) {
+            (Projection::TxRatioPerDay | Projection::Echoes { .. }, _) | (_, None) => Sides::Both,
+            (_, Some(side)) => Sides::One(side),
         }
     }
-    Ok(())
+
+    /// The range this query's stream must cover. The echo detector sees
+    /// both whole sides whatever the query range; the range only restricts
+    /// which days are emitted.
+    pub(crate) fn scan_range(&self) -> QueryRange {
+        match self.projection {
+            Projection::Echoes { .. } => QueryRange::All,
+            _ => self.range,
+        }
+    }
 }
 
-/// Evaluates `query` against `source`. This is the single evaluation path:
-/// the executor and the naive reference differ only in the `source` they
-/// pass in. Each aggregate streams its in-range records into the live
+/// What one query's [`Fold`] accumulates.
+enum Acc {
+    Blocks(Vec<BlockRecord>),
+    Txs(Vec<TxRecord>),
+    /// Boxed: the histogram's fixed bucket array dwarfs the other folds.
+    InterArrival(Box<InterArrival>),
+    Difficulty(DailyDifficulty),
+    /// ETH's, then ETC's transactions per day.
+    TxRatio([DailyTxs; 2]),
+    /// Finished from the group's one [`EchoDetector`]; pushes nothing.
+    Echoes {
+        window_days: u64,
+    },
+}
+
+/// One query's running evaluation. It may be pushed every record of a
+/// stream that covers more than the query reads (the other side, or a
+/// whole side for a window) and keeps the ones its own side and range
+/// select, in stream order. Each aggregate streams into the live
 /// pipeline's own fold (`fork_analytics::aggregate`) and finishes it.
+pub(crate) struct Fold {
+    side: Option<Side>,
+    range: QueryRange,
+    acc: Acc,
+}
+
+impl Fold {
+    /// A fresh fold for a valid `query`.
+    pub(crate) fn new(query: &Query) -> Fold {
+        let acc = match query.projection {
+            Projection::Blocks => Acc::Blocks(Vec::new()),
+            Projection::Txs => Acc::Txs(Vec::new()),
+            Projection::InterArrival => Acc::InterArrival(Box::default()),
+            Projection::Difficulty => Acc::Difficulty(DailyDifficulty::default()),
+            Projection::TxRatioPerDay => Acc::TxRatio(Default::default()),
+            Projection::Echoes { window_days } => Acc::Echoes { window_days },
+        };
+        Fold {
+            side: query.side,
+            range: query.range,
+            acc,
+        }
+    }
+
+    /// Folds in `record` if the query's side and range select it.
+    pub(crate) fn push(&mut self, record: &ArchiveRecord) {
+        match record {
+            ArchiveRecord::Block(b)
+                if self.side.is_none_or(|s| s == b.network) && block_in_range(&self.range, b) =>
+            {
+                match &mut self.acc {
+                    Acc::Blocks(out) => out.push(b.clone()),
+                    Acc::InterArrival(fold) => {
+                        fold.push(b);
+                    }
+                    Acc::Difficulty(fold) => fold.push(b),
+                    _ => {}
+                }
+            }
+            ArchiveRecord::Tx(t)
+                if self.side.is_none_or(|s| s == t.network)
+                    && ts_in_range(&self.range, t.timestamp) =>
+            {
+                match &mut self.acc {
+                    Acc::Txs(out) => out.push(t.clone()),
+                    Acc::TxRatio([eth, _]) if t.network == Side::Eth => eth.push(t),
+                    Acc::TxRatio([_, etc]) => etc.push(t),
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The query's output. `echoes` is the group's detector, present
+    /// whenever the group holds an `Echoes` query.
+    pub(crate) fn finish(self, echoes: Option<&EchoDetector>) -> QueryOutput {
+        match self.acc {
+            Acc::Blocks(out) => QueryOutput::Blocks(out),
+            Acc::Txs(out) => QueryOutput::Txs(out),
+            Acc::InterArrival(fold) => QueryOutput::Histogram(Box::new(fold.histogram().clone())),
+            Acc::Difficulty(fold) => {
+                QueryOutput::Series(fold.series(self.side.expect("validated").label()))
+            }
+            Acc::TxRatio([eth, etc]) => QueryOutput::Series(ratio(
+                &eth.series(Side::Eth.label()),
+                &etc.series(Side::Etc.label()),
+                "ETH:ETC",
+            )),
+            Acc::Echoes { window_days } => QueryOutput::Series(echo_windows(
+                echoes.expect("an Echoes query's group holds a detector"),
+                self.side.expect("validated"),
+                window_days,
+                |day| day_in_range(&self.range, day),
+            )),
+        }
+    }
+}
+
+/// Evaluates `queries` against `source` in one pass: one stream covering
+/// every query's [`Query::sides`] and [`Query::scan_range`] (`All` when
+/// their ranges differ; each fold re-filters), fed to one [`Fold`] per
+/// query. A group with an `Echoes` query holds one [`EchoDetector`] that
+/// every such query finishes from. The first invalid query or stream
+/// error fails the whole group; outputs are in `queries` order.
+pub(crate) fn evaluate_group(
+    source: &dyn RecordSource,
+    queries: &[&Query],
+) -> Result<Vec<QueryOutput>, QueryError> {
+    for query in queries {
+        query.validate()?;
+    }
+    let Some((first, rest)) = queries.split_first() else {
+        return Ok(Vec::new());
+    };
+    let mut sides = first.sides();
+    let mut range = first.scan_range();
+    for query in rest {
+        if query.sides() != sides {
+            sides = Sides::Both;
+        }
+        if query.scan_range() != range {
+            range = QueryRange::All;
+        }
+    }
+    let stream: Box<dyn Iterator<Item = _>> = match sides {
+        Sides::One(side) => source.stream(side, &range),
+        Sides::Both => Box::new(merge_by_seq(
+            source.stream(Side::Eth, &range),
+            source.stream(Side::Etc, &range),
+        )),
+    };
+    let mut folds: Vec<Fold> = queries.iter().map(|q| Fold::new(q)).collect();
+    let mut detector = queries
+        .iter()
+        .any(|q| matches!(q.projection, Projection::Echoes { .. }))
+        .then(EchoDetector::new);
+    for item in stream {
+        let (_, record) = item?;
+        if let (Some(detector), ArchiveRecord::Tx(t)) = (&mut detector, &record) {
+            detector.observe(t.network, t.hash, t.day());
+        }
+        for fold in &mut folds {
+            fold.push(&record);
+        }
+    }
+    Ok(folds
+        .into_iter()
+        .map(|fold| fold.finish(detector.as_ref()))
+        .collect())
+}
+
+/// Evaluates `query` against `source`: a group of one. This is the single
+/// evaluation path: the executor and the naive reference differ only in
+/// the `source` they pass in.
 pub(crate) fn evaluate(
     source: &dyn RecordSource,
     query: &Query,
 ) -> Result<QueryOutput, QueryError> {
-    query.validate()?;
-    let range = &query.range;
-    match query.projection {
-        Projection::Blocks => {
-            let mut out = Vec::new();
-            for_each_block(source, query.side.expect("validated"), range, |b| {
-                out.push(b)
-            })?;
-            Ok(QueryOutput::Blocks(out))
-        }
-        Projection::Txs => {
-            let mut out = Vec::new();
-            for_each_tx(source, query.side.expect("validated"), range, |t| {
-                out.push(t)
-            })?;
-            Ok(QueryOutput::Txs(out))
-        }
-        Projection::InterArrival => {
-            let mut fold = InterArrival::default();
-            for_each_block(source, query.side.expect("validated"), range, |b| {
-                fold.push(&b);
-            })?;
-            Ok(QueryOutput::Histogram(Box::new(fold.histogram().clone())))
-        }
-        Projection::Difficulty => {
-            let side = query.side.expect("validated");
-            let mut fold = DailyDifficulty::default();
-            for_each_block(source, side, range, |b| fold.push(&b))?;
-            Ok(QueryOutput::Series(fold.series(side.label())))
-        }
-        Projection::TxRatioPerDay => {
-            let [mut eth, mut etc] = [DailyTxs::default(), DailyTxs::default()];
-            for_each_tx(source, Side::Eth, range, |t| eth.push(&t))?;
-            for_each_tx(source, Side::Etc, range, |t| etc.push(&t))?;
-            Ok(QueryOutput::Series(ratio(
-                &eth.series(Side::Eth.label()),
-                &etc.series(Side::Etc.label()),
-                "ETH:ETC",
-            )))
-        }
-        Projection::Echoes { window_days } => {
-            // Echo-ness depends on which side saw a hash *first*, so the
-            // detector sees both whole sides in the original global order
-            // whatever the query range; the range only restricts which days
-            // are emitted. Both streams are `All`, so echo queries of any
-            // range read past the frame cache.
-            let mut detector = EchoDetector::new();
-            let eth = source.stream(Side::Eth, &QueryRange::All);
-            let etc = source.stream(Side::Etc, &QueryRange::All);
-            for item in merge_by_seq(eth, etc) {
-                if let (_, ArchiveRecord::Tx(t)) = item? {
-                    detector.observe(t.network, t.hash, t.day());
-                }
-            }
-            let side = query.side.expect("validated");
-            Ok(QueryOutput::Series(echo_windows(
-                &detector,
-                side,
-                window_days,
-                |day| day_in_range(range, day),
-            )))
-        }
-    }
+    let mut out = evaluate_group(source, &[query])?;
+    Ok(out.pop().expect("one output per query"))
 }
 
 #[cfg(test)]

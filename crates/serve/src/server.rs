@@ -307,35 +307,42 @@ impl Work {
     }
 }
 
-/// Trace state carried with an admitted job (tracing on): stage timings
-/// accumulated so far plus the instants later stages measure from.
+/// Trace state carried with an admitted job (tracing on): the stage
+/// boundaries passed so far. Each boundary is one `Instant` that ends one
+/// stage and starts the next, so the stages tile the request's lifetime.
 struct JobTrace {
-    /// First frame byte arrived.
+    /// First frame byte arrived: the read stage starts.
     t0: Instant,
     /// Daemon-lifetime request sequence number.
     seq: u64,
-    read_us: u64,
-    admit_us: u64,
-    /// When the job entered the queue (queue wait measures from here);
-    /// `None` for an inline lookup, which never waits in it.
+    /// The read stage ends and admission starts.
+    read_end: Instant,
+    /// Admission ends and the queue wait starts; `None` for an inline
+    /// lookup, which never waits in the queue: its admission ends when
+    /// execution starts.
     queued_at: Option<Instant>,
 }
 
-/// Trace state handed from execution to the write: everything known before
-/// the write stage, plus when execution finished (write wait + the actual
-/// socket write measure from there).
+/// Trace state handed from execution to the write: every stage boundary
+/// up to the end of execution (the write stage, response-queue wait +
+/// encode + socket write, runs from there).
 struct WriteTrace {
     t0: Instant,
     seq: u64,
     id: u64,
     endpoint: usize,
-    read_us: u64,
-    admit_us: u64,
-    queue_us: u64,
-    execute_us: u64,
+    read_end: Instant,
+    admit_end: Instant,
+    started: Instant,
+    finished: Instant,
     cache_hits: u64,
     cache_misses: u64,
-    finished_at: Instant,
+}
+
+/// Whole microseconds from `from` to `to`, floored: stages floored this
+/// way never sum past the floored total they tile.
+fn micros_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from).as_micros() as u64
 }
 
 struct Job {
@@ -472,16 +479,16 @@ impl State {
 
     /// Finishes one traced request after its write: the write stage is
     /// response-queue wait + encode + socket write, total is first byte in
-    /// → last byte out.
+    /// → last byte out. Both end at the same instant.
     fn finish_trace(&self, t: &WriteTrace) {
-        let write_us = t.finished_at.elapsed().as_micros() as u64;
-        let total_us = t.t0.elapsed().as_micros() as u64;
+        let written = Instant::now();
+        let total_us = micros_between(t.t0, written);
         let stages = StageBreakdown {
-            read_us: t.read_us,
-            admit_us: t.admit_us,
-            queue_us: t.queue_us,
-            execute_us: t.execute_us,
-            write_us,
+            read_us: micros_between(t.t0, t.read_end),
+            admit_us: micros_between(t.read_end, t.admit_end),
+            queue_us: micros_between(t.admit_end, t.started),
+            execute_us: micros_between(t.started, t.finished),
+            write_us: micros_between(t.finished, written),
             cache_hits: t.cache_hits,
             cache_misses: t.cache_misses,
         };
@@ -816,10 +823,6 @@ fn execute(
     work: &Work,
     trace: Option<JobTrace>,
 ) -> (Response, Option<Box<WriteTrace>>) {
-    let queue_us = trace
-        .as_ref()
-        .and_then(|t| t.queued_at)
-        .map_or(0, |at| at.elapsed().as_micros() as u64);
     if trace.is_some() {
         // Evaluation runs on this thread; drain the thread-local cache
         // delta so the post-run take attributes exactly this request.
@@ -839,7 +842,7 @@ fn execute(
                 .map(ResponseBody::Lookup),
         ),
     };
-    let micros = started.elapsed().as_micros() as u64;
+    let finished = Instant::now();
     let trace = trace.map(|t| {
         let (cache_hits, cache_misses) = take_thread_cache_delta();
         Box::new(WriteTrace {
@@ -847,16 +850,15 @@ fn execute(
             seq: t.seq,
             id,
             endpoint,
-            read_us: t.read_us,
-            admit_us: t.admit_us,
-            queue_us,
-            execute_us: micros,
+            read_end: t.read_end,
+            admit_end: t.queued_at.unwrap_or(started),
+            started,
+            finished,
             cache_hits,
             cache_misses,
-            finished_at: Instant::now(),
         })
     });
-    state.latency[endpoint].record(micros);
+    state.latency[endpoint].record(micros_between(started, finished));
     state.global_inflight.fetch_sub(1, Ordering::SeqCst);
     let body = match result {
         Ok(body) => body,
@@ -1003,8 +1005,7 @@ impl Reader<'_> {
     /// anything else goes to the worker queue and the writer thread.
     fn submit(&mut self, id: u64, work: Work, t0: Instant) -> bool {
         let state = self.state;
-        let read_us = t0.elapsed().as_micros() as u64;
-        let admit_started = Instant::now();
+        let read_end = Instant::now();
         let earlier = match admit(state, self.conn) {
             Ok(earlier) => earlier,
             Err(rejection) => {
@@ -1014,7 +1015,7 @@ impl Reader<'_> {
         };
         state.queries.incr();
         let inline = earlier == 0 && work.is_point_lookup();
-        let trace = job_trace(state, t0, read_us, admit_started, !inline);
+        let trace = job_trace(state, t0, read_end, !inline);
         if !inline {
             self.queue.push(Job {
                 id,
@@ -1085,22 +1086,15 @@ fn control_reply(state: &State, body: RequestBody) -> Result<ResponseBody, Work>
 }
 
 /// Builds the trace an admitted job carries (`None` with tracing off);
-/// `queued` starts its queue-wait clock.
-fn job_trace(
-    state: &State,
-    t0: Instant,
-    read_us: u64,
-    admit_started: Instant,
-    queued: bool,
-) -> Option<JobTrace> {
+/// `queued` ends its admission here and starts its queue-wait clock.
+fn job_trace(state: &State, t0: Instant, read_end: Instant, queued: bool) -> Option<JobTrace> {
     if !state.cfg.tracing {
         return None;
     }
     Some(JobTrace {
         t0,
         seq: state.request_seq.fetch_add(1, Ordering::Relaxed),
-        read_us,
-        admit_us: admit_started.elapsed().as_micros() as u64,
+        read_end,
         queued_at: queued.then(Instant::now),
     })
 }
@@ -1156,5 +1150,23 @@ mod tests {
             Err(other) => panic!("expected InvalidConfig, got {other}"),
             Ok(_) => panic!("a zero write_timeout must not start a daemon"),
         }
+    }
+
+    #[test]
+    fn floored_stages_never_sum_past_the_total() {
+        // Five contiguous stages with sub-microsecond remainders: each
+        // floors down, so their sum can fall short of the total but never
+        // pass it.
+        let t0 = Instant::now();
+        let mut bounds = vec![t0];
+        for ns in [1_999u64, 999, 1_001, 2_500_999, 999] {
+            let last = *bounds.last().unwrap();
+            bounds.push(last + Duration::from_nanos(ns));
+        }
+        let sum: u64 = bounds.windows(2).map(|w| micros_between(w[0], w[1])).sum();
+        let total = micros_between(t0, *bounds.last().unwrap());
+        assert_eq!((sum, total), (2_502, 2_505));
+        // A boundary read out of order saturates to zero, never panics.
+        assert_eq!(micros_between(bounds[2], bounds[1]), 0);
     }
 }
